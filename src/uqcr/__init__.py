@@ -15,7 +15,6 @@ from .majorization import (
 )
 from .quantum import (
     DensityMatrix,
-    Povm,
     ProjectiveObservable,
     bloch_to_density,
     born_probabilities,

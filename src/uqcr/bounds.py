@@ -1,12 +1,17 @@
 """State-independent envelopes on direct-sum measurement distributions.
 
-For M observables with L = sum of outcome counts, the sum of the n
-largest entries of the sorted direct-sum distribution equals the largest
-trace of a level-n subset operator (a sum of n projectors split across
-the observables).  Minimizing that quantity over admissible states for
-every level and differencing the minima assembles the greatest lower
-bound ``t``; maximizing via largest eigenvalues and flattening with the
-least concave majorant assembles the least upper bound ``s``.
+For M observables with L = sum of outcome counts, stack the L outcome
+projectors Pi_k.  The level-n objective of a state is the sum of its n
+largest Born probabilities, the top-n sum of the sorted direct-sum
+distribution.  Minimizing it over admissible states for every level and
+differencing the minima assembles the greatest lower bound ``t``.  Over
+all states, minimax duality turns each minimum into the largest
+``lambda_min(sum_k w_k Pi_k)`` over the capped simplex
+{0 <= w_k <= 1, sum_k w_k = n}, a certified value from L weights.  The
+level-n maximum is the largest eigenvalue over the C(L, n) subset
+operators (sums of n projectors split across the observables), which
+are enumerated exactly; flattening the maxima with the least concave
+majorant assembles the least upper bound ``s``.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from scipy import optimize
 from . import majorization as mj
 from .errors import UqcrError
 from .quantum import (
+    PAULIS,
     DensityMatrix,
     ProjectiveObservable,
     WrongDimension,
@@ -49,6 +55,19 @@ class SolverConfig:
     oracle_samples: int = 100_000
     seed: int = 0
     step_scale: float = 0.5
+
+    def __post_init__(self) -> None:
+        # messages start with the field name, which the CLI maps to its flag
+        for name, ok, rule in (
+            ("max_iter", self.max_iter >= 0, ">= 0"),
+            ("multistarts", self.multistarts >= 1, ">= 1"),
+            ("tol", self.tol > 0.0, "> 0"),
+            ("oracle_samples", self.oracle_samples >= 1, ">= 1"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("step_scale", self.step_scale > 0.0, "> 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -124,7 +143,7 @@ class BoundCertificate:
 
 
 # ---------------------------------------------------------------------------
-# enumeration and partial sums
+# projector stack, enumeration and partial sums
 
 def _check_observables(observables) -> tuple[int, int]:
     observables = list(observables)
@@ -137,29 +156,44 @@ def _check_observables(observables) -> tuple[int, int]:
     return dim, sum(obs.outcome_count for obs in observables)
 
 
-def enumerate_choices(observables, n: int) -> list[ChoiceOperator]:
-    """All level-n subset operators across the observables.
-
-    The count is the coefficient of z^n in prod_a (1+z)^(N_a), i.e.
-    C(L, n) for L total outcomes.
-    """
-    observables = list(observables)
-    dim, total_outcomes = _check_observables(observables)
+def _check_level(n: int, total_outcomes: int) -> None:
     if not 1 <= n <= total_outcomes - 1:
         raise LevelOutOfRange(f"level {n} outside 1..{total_outcomes - 1}")
+
+
+def _projector_stack(observables) -> np.ndarray:
+    """The L outcome projectors of all observables, shape (L, d, d)."""
+    return np.concatenate([np.stack(obs.projectors) for obs in observables])
+
+
+def _born(states: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """Born probabilities tr(Pi_k rho) of a (B, d, d) batch, shape (B, L)."""
+    return np.einsum("sij,pji->sp", states, proj, optimize=True).real
+
+
+def _top_n_sum(probs: np.ndarray, n: int) -> np.ndarray:
+    """Level-n objective: the sum of the n largest entries of the last axis."""
+    return np.partition(probs, -n, axis=-1)[..., -n:].sum(axis=-1)
+
+
+def _choice_stack(observables, n: int) -> tuple[list, np.ndarray]:
+    """Index sets and matrices of every level-n subset operator.
+
+    The count is the coefficient of z^n in prod_a (1+z)^(N_a), i.e.
+    C(L, n) for L total outcomes.  Order: splits (n_1..n_M) as
+    ``_compositions`` yields them, then subsets lexicographically.
+    """
     counts = [obs.outcome_count for obs in observables]
-    choices: list[ChoiceOperator] = []
-    for split in _compositions(n, counts):
-        subset_pools = [
-            list(itertools.combinations(range(c), k)) for c, k in zip(counts, split)
-        ]
-        for subsets in itertools.product(*subset_pools):
-            m = np.zeros((dim, dim), dtype=complex)
-            for obs, idx in zip(observables, subsets):
-                for i in idx:
-                    m = m + obs.projectors[i]
-            choices.append(ChoiceOperator(subsets, m, n))
-    return choices
+    offsets = np.cumsum([0] + counts[:-1])
+    sets = [
+        subsets
+        for split in _compositions(n, counts)
+        for subsets in itertools.product(
+            *(itertools.combinations(range(c), k) for c, k in zip(counts, split))
+        )
+    ]
+    flat = np.array([[o + i for o, idx in zip(offsets, s) for i in idx] for s in sets])
+    return sets, _projector_stack(observables)[flat].sum(axis=1)
 
 
 def _compositions(n: int, caps: list[int]):
@@ -171,6 +205,23 @@ def _compositions(n: int, caps: list[int]):
     for head in range(min(n, caps[0]) + 1):
         for rest in _compositions(n - head, caps[1:]):
             yield (head,) + rest
+
+
+def enumerate_choices(observables, n: int) -> list[ChoiceOperator]:
+    """All level-n subset operators across the observables."""
+    observables = list(observables)
+    _, total_outcomes = _check_observables(observables)
+    _check_level(n, total_outcomes)
+    sets, mats = _choice_stack(observables, n)
+    return [ChoiceOperator(s, m, n) for s, m in zip(sets, mats)]
+
+
+def _choice_at(observables, proj: np.ndarray, state: np.ndarray, n: int) -> ChoiceOperator:
+    """The subset operator of the n largest Born probabilities of a state."""
+    top = np.sort(np.argpartition(_born(state[None], proj)[0], -n)[-n:])
+    edges = np.cumsum([0] + [obs.outcome_count for obs in observables])
+    sets = [top[(top >= lo) & (top < hi)] - lo for lo, hi in zip(edges[:-1], edges[1:])]
+    return ChoiceOperator(tuple(sets), proj[top].sum(axis=0), n)
 
 
 def top_n_sum(p: mj.ProbVector, n: int) -> float:
@@ -185,8 +236,6 @@ def top_n_sum(p: mj.ProbVector, n: int) -> float:
 
 def _sample_states(dim: int, constraint: StateConstraint, count: int,
                    rng: np.random.Generator) -> np.ndarray:
-    if count <= 0:
-        return np.zeros((0, dim, dim), dtype=complex)
     if constraint.kind == "all_states":
         g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
         mats = g @ np.conj(np.swapaxes(g, -1, -2))
@@ -213,34 +262,25 @@ def _bloch_batch(rs: np.ndarray) -> np.ndarray:
 
 
 def _constrain_state(state: np.ndarray, constraint: StateConstraint) -> np.ndarray:
-    """Map a pure seed state into the admissible family."""
+    """Map a pure state into the admissible family."""
     if constraint.kind != "fixed_bloch_norm":
         return state
-    r = np.array([np.real(np.trace(p @ state)) for p in _pauli_stack()])
+    r = np.array([np.real(np.trace(p @ state)) for p in PAULIS])
     norm = np.linalg.norm(r)
     direction = r / norm if norm > 1e-12 else np.array([0.0, 0.0, 1.0])
     return _bloch_batch((constraint.r * direction)[None])[0]
-
-
-def _pauli_stack() -> np.ndarray:
-    from .quantum import PAULIS
-
-    return np.stack(PAULIS)
 
 
 class _Oracle:
     """Sampled admissible states with their sorted prefix sums."""
 
     def __init__(self, proj_stack: np.ndarray, dim: int, constraint: StateConstraint,
-                 count: int, rng: np.random.Generator, seed_states: np.ndarray | None):
-        sampled = _sample_states(dim, constraint, count, rng)
-        if seed_states is not None and seed_states.size:
-            sampled = np.concatenate([seed_states, sampled])
-        probs = np.einsum("sij,pji->sp", sampled, proj_stack, optimize=True).real
+                 count: int, rng: np.random.Generator):
+        self.states = _sample_states(dim, constraint, count, rng)
+        probs = _born(self.states, proj_stack)
         np.clip(probs, 0.0, 1.0, out=probs)
-        order = np.argsort(probs, axis=1)[:, ::-1]
-        self.prefix = np.cumsum(np.take_along_axis(probs, order, axis=1), axis=1)
-        self.states = sampled
+        probs.sort(axis=1)
+        self.prefix = np.cumsum(probs[:, ::-1], axis=1)
 
     def min_at(self, level: int) -> tuple[float, np.ndarray]:
         col = self.prefix[:, level - 1]
@@ -270,104 +310,105 @@ def _project_density_batch(mats: np.ndarray) -> np.ndarray:
     return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
 
 
-def _dual_bound(cmats: np.ndarray, weights: np.ndarray) -> float:
-    total = weights.sum()
-    if total <= 0.0:
-        return -np.inf
-    mix = np.einsum("c,cij->ij", weights / total, cmats)
-    return float(np.linalg.eigvalsh(mix)[0])
+def _kelley_dual_bound(proj: np.ndarray, n: int, target: float,
+                       max_cuts: int = 80, tol: float = 1e-12) -> float:
+    """Maximize lambda_min(sum_k w_k Pi_k) over the capped simplex.
 
-
-def _kelley_dual_bound(cmats: np.ndarray, max_cuts: int = 80, tol: float = 1e-12) -> float:
-    """Maximize lambda_min of a choice mixture over the simplex.
-
-    By minimax duality this equals the minimum over states of the
-    pointwise choice-trace maximum.  Kelley cutting planes: each iterate
-    contributes the linearization through the bottom eigenvector, and a
-    small LP proposes the next mixture.  Returns the best certified
-    mixture value (a valid lower bound at every step).
+    The weights range over {0 <= w_k <= 1, sum_k w_k = n}, one per
+    outcome projector.  Since the top-n sum of Born probabilities is the
+    largest sum_k w_k p_k over that set, minimax duality makes the
+    maximum equal to the level-n minimum over all states.  Kelley
+    cutting planes start from the uniform weights n/L; each iterate
+    contributes the linearization through its bottom eigenvector, and a
+    small LP over the L weights proposes the next.  Stops once the value
+    reaches ``target`` (the primal value less the gap tolerance) or the
+    LP bound is within ``tol``.  Returns the best certified value, a
+    valid lower bound at every step.
     """
-    n = cmats.shape[0]
-    q = np.full(n, 1.0 / n)
+    count = proj.shape[0]
+    w = np.full(count, n / count)
     grads: list[np.ndarray] = []
     offsets: list[float] = []
     best = -np.inf
-    bounds = [(0.0, None)] * n + [(None, None)]
-    objective = np.zeros(n + 1)
-    objective[n] = -1.0
-    a_eq = np.zeros((1, n + 1))
-    a_eq[0, :n] = 1.0
+    bounds = [(0.0, 1.0)] * count + [(None, None)]
+    objective = np.zeros(count + 1)
+    objective[count] = -1.0
+    a_eq = np.zeros((1, count + 1))
+    a_eq[0, :count] = 1.0
     for _ in range(max_cuts):
-        mix = np.einsum("c,cij->ij", q, cmats)
-        w, v = np.linalg.eigh(mix)
-        best = max(best, float(w[0]))
-        vec = v[:, 0]
-        grad = np.einsum("cij,j,i->c", cmats, vec, vec.conj(), optimize=True).real
+        lam, vecs = np.linalg.eigh(np.einsum("k,kij->ij", w, proj))
+        best = max(best, float(lam[0]))
+        if best >= target:
+            break
+        vec = vecs[:, 0]
+        grad = np.einsum("kij,j,i->k", proj, vec, vec.conj(), optimize=True).real
         grads.append(grad)
-        offsets.append(float(w[0] - grad @ q))
-        a_ub = np.zeros((len(grads), n + 1))
-        a_ub[:, :n] = -np.stack(grads)
-        a_ub[:, n] = 1.0
+        offsets.append(float(lam[0] - grad @ w))
+        a_ub = np.zeros((len(grads), count + 1))
+        a_ub[:, :count] = -np.stack(grads)
+        a_ub[:, count] = 1.0
         res = optimize.linprog(
-            objective, A_ub=a_ub, b_ub=np.array(offsets), A_eq=a_eq, b_eq=[1.0],
+            objective, A_ub=a_ub, b_ub=np.array(offsets), A_eq=a_eq, b_eq=[float(n)],
             bounds=bounds, method="highs",
         )
         if not res.success:
             break
-        q = np.maximum(res.x[:n], 0.0)
-        q /= q.sum()
-        if float(res.x[n]) - best <= tol:
+        # LP round-off may leave the capped simplex; shrinking back into it
+        # keeps lambda_min a lower bound on every state's top-n sum
+        w = np.clip(res.x[:count], 0.0, 1.0)
+        w *= min(1.0, n / w.sum())
+        if float(res.x[count]) - best <= tol:
             break
     return best
 
 
-def _min_level_all_states(cmats: np.ndarray, dim: int, cfg: SolverConfig,
-                          rng: np.random.Generator, seed_states: list[np.ndarray]):
+def _min_level_all_states(proj: np.ndarray, n: int, cfg: SolverConfig,
+                          rng: np.random.Generator, oracle_state: np.ndarray):
     """Projected subgradient descent over the density-matrix set.
 
-    A certified dual bound (lambda_min of the best choice mixture, from
-    cutting planes) supplies the Polyak step target; iterates are also
-    averaged over a doubling trailing window.  Returns primal value,
-    certified lower bound, state, choice index, iterations, start index.
+    The subgradient at a state is the sum of the projectors of its n
+    largest Born probabilities.  A certified dual bound (from cutting
+    planes over the projector weights) supplies the Polyak step target;
+    iterates are also averaged over a doubling trailing window.  Returns
+    primal value, certified lower bound, state, iterations, start index.
     """
-    n_choices = cmats.shape[0]
-    gnorm2 = np.maximum(
-        np.einsum("cij,cij->c", cmats, cmats.conj()).real, 1e-12
-    )
-    starts = [np.eye(dim, dtype=complex) / dim]
-    starts.extend(seed_states)
+    count, dim = proj.shape[0], proj.shape[-1]
+    gram = np.einsum("kij,lji->kl", proj, proj).real
+    pflat = proj.reshape(count, -1)
+    starts = [np.eye(dim, dtype=complex) / dim, oracle_state]
     while len(starts) < cfg.multistarts:
         starts.append(_sample_states(dim, StateConstraint.all_states(), 1, rng)[0])
-    rho = np.stack(starts[: max(cfg.multistarts, 1)])
+    rho = np.stack(starts[: cfg.multistarts])
+
+    def evaluate(states):
+        probs = _born(states, proj)
+        top = np.argpartition(probs, -n, axis=1)[:, -n:]
+        return np.take_along_axis(probs, top, axis=1).sum(axis=1), top
 
     gap_tol = max(1e-12, min(cfg.tol, 1e-9))
-    vals = np.einsum("bij,cji->bc", rho, cmats, optimize=True).real
-    fk = vals.max(axis=1)
+    fk, top = evaluate(rho)
     i = int(fk.argmin())
-    best_val = float(fk[i])
-    best_state, best_choice, best_start = rho[i].copy(), int(vals[i].argmax()), i
-
-    f_lb = _dual_bound(cmats, np.ones(n_choices))
+    best_val, best_state, best_start = float(fk[i]), rho[i].copy(), i
+    f_lb = _kelley_dual_bound(proj, n, best_val - gap_tol)
     iters = 0
-    if best_val - f_lb > gap_tol:
-        f_lb = max(f_lb, _kelley_dual_bound(cmats))
     if best_val - f_lb > gap_tol:
         avg = np.zeros_like(rho)
         avg_n = 0
         next_restart = 8
         for k in range(1, cfg.max_iter + 1):
             iters = k
-            choice_idx = vals.argmax(axis=1)
+            chosen = np.zeros((rho.shape[0], count))
+            np.put_along_axis(chosen, top, 1.0, axis=1)
+            gnorm2 = np.maximum(np.einsum("bk,kl,bl->b", chosen, gram, chosen), 1e-12)
             # Polyak step toward the certified target, at most c/sqrt(k) long
-            polyak = np.maximum(fk - f_lb, 0.0) / gnorm2[choice_idx]
+            polyak = np.maximum(fk - f_lb, 0.0) / gnorm2
             step = np.minimum(polyak, cfg.step_scale / math.sqrt(k))
-            rho = _project_density_batch(rho - step[:, None, None] * cmats[choice_idx])
-            vals = np.einsum("bij,cji->bc", rho, cmats, optimize=True).real
-            fk = vals.max(axis=1)
+            subgrad = (chosen @ pflat).reshape(rho.shape)
+            rho = _project_density_batch(rho - step[:, None, None] * subgrad)
+            fk, top = evaluate(rho)
             i = int(fk.argmin())
             if fk[i] < best_val:
-                best_val = float(fk[i])
-                best_state, best_choice, best_start = rho[i].copy(), int(vals[i].argmax()), i
+                best_val, best_state, best_start = float(fk[i]), rho[i].copy(), i
             if best_val - f_lb <= gap_tol:
                 break
             # averaging window doubles, spanning a trailing half of the run
@@ -376,26 +417,13 @@ def _min_level_all_states(cmats: np.ndarray, dim: int, cfg: SolverConfig,
             if k == next_restart:
                 next_restart *= 2
                 mean_states = _project_density_batch(avg / avg_n)
-                mvals = np.einsum("bij,cji->bc", mean_states, cmats, optimize=True).real
-                mf = mvals.max(axis=1)
+                mf, _ = evaluate(mean_states)
                 j = int(mf.argmin())
                 if mf[j] < best_val:
-                    best_val = float(mf[j])
-                    best_state = mean_states[j].copy()
-                    best_choice, best_start = int(mvals[j].argmax()), j
+                    best_val, best_state, best_start = float(mf[j]), mean_states[j].copy(), j
                 avg = np.zeros_like(rho)
                 avg_n = 0
-    return best_val, f_lb, best_state, best_choice, iters, best_start
-
-
-def _min_level_parametrized(cmats: np.ndarray, dim: int, constraint: StateConstraint,
-                            cfg: SolverConfig, rng: np.random.Generator,
-                            seed_states: list[np.ndarray]):
-    """Multistart Nelder-Mead on a direct parametrization of the manifold."""
-    if constraint.kind == "fixed_bloch_norm" or dim == 2:
-        radius = 1.0 if constraint.kind == "pure_only" else float(constraint.r)
-        return _min_level_bloch_sphere(cmats, radius, cfg, rng, seed_states)
-    return _min_level_pure_ket(cmats, dim, cfg, rng, seed_states)
+    return best_val, f_lb, best_state, iters, best_start
 
 
 _NM_SCAN = {"xatol": 1e-8, "fatol": 1e-10, "maxiter": 800, "maxfev": 1600}
@@ -418,33 +446,30 @@ def _nm_multistart(objective, x0s, limit):
     return best_val, best_x, best_start, fevs
 
 
-def _min_level_bloch_sphere(cmats, radius, cfg, rng, seed_states):
-    paulis = _pauli_stack()
-    base = 0.5 * np.real(np.trace(cmats, axis1=-2, axis2=-1))
-    wvecs = 0.5 * np.einsum("cij,kji->ck", cmats, paulis, optimize=True).real
+def _min_level_bloch_sphere(proj, n, radius, cfg, rng, oracle_state):
+    paulis = np.stack(PAULIS)
+    base = 0.5 * np.real(np.trace(proj, axis1=-2, axis2=-1))
+    wvecs = 0.5 * np.einsum("kij,mji->km", proj, paulis, optimize=True).real
+
+    def bloch(ang):
+        st, ct = math.sin(ang[0]), math.cos(ang[0])
+        return radius * np.array([st * math.cos(ang[1]), st * math.sin(ang[1]), ct])
 
     def objective(ang):
-        st, ct = math.sin(ang[0]), math.cos(ang[0])
-        r = radius * np.array([st * math.cos(ang[1]), st * math.sin(ang[1]), ct])
-        return float((base + wvecs @ r).max())
+        return float(_top_n_sum(base + wvecs @ bloch(ang), n))
 
-    def angles_of(state):
-        r = np.array([np.real(np.trace(p @ state)) for p in paulis])
-        norm = np.linalg.norm(r)
-        if norm < 1e-12:
-            return np.array([0.5 * math.pi, 0.0])
+    r = np.array([np.real(np.trace(p @ oracle_state)) for p in paulis])
+    norm = np.linalg.norm(r)
+    if norm < 1e-12:
+        x0s = [np.array([0.5 * math.pi, 0.0])]
+    else:
         r = r / norm
-        return np.array([math.acos(np.clip(r[2], -1, 1)), math.atan2(r[1], r[0])])
-
-    x0s = [angles_of(s) for s in seed_states]
+        x0s = [np.array([math.acos(np.clip(r[2], -1, 1)), math.atan2(r[1], r[0])])]
     while len(x0s) < cfg.multistarts:
         x0s.append(np.array([math.acos(rng.uniform(-1, 1)), rng.uniform(-math.pi, math.pi)]))
     best_val, best_x, best_start, fevs = _nm_multistart(objective, x0s, cfg.multistarts)
-    st, ct = math.sin(best_x[0]), math.cos(best_x[0])
-    r = radius * np.array([st * math.cos(best_x[1]), st * math.sin(best_x[1]), ct])
-    state = _bloch_batch(r[None])[0]
-    vals = base + wvecs @ r
-    return best_val, -np.inf, state, int(vals.argmax()), fevs, best_start
+    state = _bloch_batch(bloch(best_x)[None])[0]
+    return best_val, -np.inf, state, fevs, best_start
 
 
 def _ket_from_chart(x: np.ndarray, dim: int) -> np.ndarray:
@@ -480,55 +505,36 @@ def _chart_from_ket(ket: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([angles, phases])
 
 
-def _min_level_pure_ket(cmats, dim, cfg, rng, seed_states):
-    cflat = cmats.reshape(cmats.shape[0], -1)
+def _min_level_pure_ket(proj, n, cfg, rng, oracle_state):
+    dim = proj.shape[-1]
+    pflat = proj.reshape(proj.shape[0], -1)
 
     def objective(x):
         psi = _ket_from_chart(x, dim)
         rho_vec = (psi[:, None] * psi.conj()[None, :]).ravel().conj()
-        return float((cflat @ rho_vec).real.max())
+        return float(_top_n_sum((pflat @ rho_vec).real, n))
 
-    def params_of(state):
-        w, v = np.linalg.eigh(state)
-        return _chart_from_ket(v[:, -1], dim)
-
-    x0s = [params_of(s) for s in seed_states]
+    x0s = [_chart_from_ket(np.linalg.eigh(oracle_state)[1][:, -1], dim)]
     while len(x0s) < cfg.multistarts:
         ket = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         ket /= np.linalg.norm(ket)
         x0s.append(_chart_from_ket(ket, dim))
     best_val, best_x, best_start, fevs = _nm_multistart(objective, x0s, cfg.multistarts)
     psi = _ket_from_chart(best_x, dim)
-    state = np.outer(psi, psi.conj())
-    vals = np.einsum("i,cij,j->c", psi.conj(), cmats, psi, optimize=True).real
-    return best_val, -np.inf, state, int(vals.argmax()), fevs, best_start
+    return best_val, -np.inf, np.outer(psi, psi.conj()), fevs, best_start
 
 
-def _eig_seed_states(cmats: np.ndarray) -> np.ndarray:
-    """Eigenprojectors of every choice operator, natural extremum seeds."""
-    w, v = np.linalg.eigh(cmats)
-    kets = np.concatenate([v[:, :, 0], v[:, :, -1]])
-    return kets[:, :, None] * kets[:, None, :].conj()
-
-
-def _solve_min_level(observables, choices, constraint, cfg, rng, oracle):
-    dim = observables[0].dim
-    cmats = np.stack([c.matrix for c in choices])
-    n = choices[0].level
+def _solve_min_level(observables, proj, n, constraint, cfg, rng, oracle):
     oracle_min, oracle_state = oracle.min_at(n)
-    eig_states = _eig_seed_states(cmats)
-    seeds = [oracle_state]
-    seeds.extend(
-        _constrain_state(s, constraint) for s in eig_states[: cfg.multistarts // 2]
-    )
     if constraint.kind == "all_states":
-        value, dual, state, cidx, iters, start = _min_level_all_states(
-            cmats, dim, cfg, rng, seeds
-        )
+        solve = _min_level_all_states(proj, n, cfg, rng, oracle_state)
+    # pure and fixed-norm states: multistart Nelder-Mead on a chart
+    elif constraint.kind == "fixed_bloch_norm" or proj.shape[-1] == 2:
+        radius = 1.0 if constraint.kind == "pure_only" else float(constraint.r)
+        solve = _min_level_bloch_sphere(proj, n, radius, cfg, rng, oracle_state)
     else:
-        value, dual, state, cidx, iters, start = _min_level_parametrized(
-            cmats, dim, constraint, cfg, rng, seeds
-        )
+        solve = _min_level_pure_ket(proj, n, cfg, rng, oracle_state)
+    value, dual, state, iters, start = solve
     residual = value - oracle_min
     if residual > cfg.tol:
         raise SolverDiverged(
@@ -537,8 +543,6 @@ def _solve_min_level(observables, choices, constraint, cfg, rng, oracle):
         )
     if oracle_min < value:
         value, state = oracle_min, oracle_state
-        vals = np.einsum("ij,cji->c", state, cmats, optimize=True).real
-        cidx = int(vals.argmax())
     # assembly uses the certified side: the dual bound never exceeds the
     # true minimum, so envelopes built from it stay valid lower bounds
     assembly = dual if np.isfinite(dual) else value
@@ -555,10 +559,27 @@ def _solve_min_level(observables, choices, constraint, cfg, rng, oracle):
         bound_kind="min",
         value=float(value),
         achieving_state=DensityMatrix(state),
-        achieving_choice=choices[cidx],
+        achieving_choice=_choice_at(observables, proj, state, n),
         diagnostics=diag,
     )
     return cert, float(assembly)
+
+
+def _min_levels(observables, levels, constraint: StateConstraint, cfg: SolverConfig,
+                entropy: tuple) -> list[tuple[BoundCertificate, float]]:
+    """Certificate and assembly value per level, all against one oracle.
+
+    ``entropy`` seeds the oracle stream and one solver stream per level.
+    """
+    proj = _projector_stack(observables)
+    rng_oracle, *rng_levels = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(entropy).spawn(len(levels) + 1)
+    )
+    oracle = _Oracle(proj, observables[0].dim, constraint, cfg.oracle_samples, rng_oracle)
+    return [
+        _solve_min_level(observables, proj, n, constraint, cfg, rng, oracle)
+        for n, rng in zip(levels, rng_levels)
+    ]
 
 
 def min_topn_over_states(observables, n: int,
@@ -566,15 +587,9 @@ def min_topn_over_states(observables, n: int,
                          cfg: SolverConfig = SolverConfig()) -> BoundCertificate:
     """Minimum over admissible states of the top-n sum of the direct-sum PDV."""
     observables = list(observables)
-    dim, _ = _check_observables(observables)
-    choices = enumerate_choices(observables, n)
-    ss = np.random.SeedSequence((cfg.seed, n))
-    rng_oracle, rng_solve = (np.random.default_rng(s) for s in ss.spawn(2))
-    proj_stack = np.concatenate([np.stack(obs.projectors) for obs in observables])
-    eig_states = _eig_seed_states(np.stack([c.matrix for c in choices]))
-    eig_states = np.stack([_constrain_state(s, constraint) for s in eig_states])
-    oracle = _Oracle(proj_stack, dim, constraint, cfg.oracle_samples, rng_oracle, eig_states)
-    cert, _ = _solve_min_level(observables, choices, constraint, cfg, rng_solve, oracle)
+    _, total_outcomes = _check_observables(observables)
+    _check_level(n, total_outcomes)
+    [(cert, _)] = _min_levels(observables, [n], constraint, cfg, (cfg.seed, n))
     return cert
 
 
@@ -582,28 +597,22 @@ def max_topn_over_states(observables, n: int,
                          constraint: StateConstraint = StateConstraint.all_states()) -> BoundCertificate:
     """Maximum top-n sum: the largest eigenvalue over the level-n choices."""
     observables = list(observables)
-    _check_observables(observables)
-    choices = enumerate_choices(observables, n)
-    cmats = np.stack([c.matrix for c in choices])
+    _, total_outcomes = _check_observables(observables)
+    _check_level(n, total_outcomes)
+    sets, cmats = _choice_stack(observables, n)
     w, v = np.linalg.eigh(cmats)
+    vals = w[:, -1]
     if constraint.kind == "fixed_bloch_norm":
         if observables[0].dim != 2:
             raise WrongDimension("fixed_bloch_norm is defined for dimension 2 only")
         half_tr = 0.5 * np.real(np.trace(cmats, axis1=-2, axis2=-1))
-        vals = half_tr + constraint.r * (w[:, -1] - half_tr)
-        best = int(vals.argmax())
-        ket = v[best][:, -1]
-        pure = np.outer(ket, ket.conj())
-        state = DensityMatrix(_constrain_state(pure, constraint))
-        value = float(vals[best])
-    else:
-        vals = w[:, -1]
-        best = int(vals.argmax())
-        ket = v[best][:, -1]
-        state = DensityMatrix(np.outer(ket, ket.conj()))
-        value = float(vals[best])
+        vals = half_tr + constraint.r * (vals - half_tr)
+    best = int(vals.argmax())
+    ket = v[best][:, -1]
+    state = DensityMatrix(_constrain_state(np.outer(ket, ket.conj()), constraint))
     diag = SolverDiagnostics(iterations=0, multistart_index=0, residual=0.0)
-    return BoundCertificate(n, "max", value, state, choices[best], diag)
+    choice = ChoiceOperator(sets[best], cmats[best], n)
+    return BoundCertificate(n, "max", float(vals[best]), state, choice, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -619,26 +628,13 @@ def infimum_t(observables,
     solver noise, which a pool-adjacent-violators pass removes.
     """
     observables = list(observables)
-    dim, total_outcomes = _check_observables(observables)
+    _, total_outcomes = _check_observables(observables)
     n_obs = len(observables)
-    all_choices = [enumerate_choices(observables, n) for n in range(1, total_outcomes)]
-    ss = np.random.SeedSequence((cfg.seed, 0x1F))
-    rng_oracle, *rng_levels = (
-        np.random.default_rng(s) for s in ss.spawn(total_outcomes)
+    solved = _min_levels(
+        observables, range(1, total_outcomes), constraint, cfg, (cfg.seed, 0x1F)
     )
-    proj_stack = np.concatenate([np.stack(obs.projectors) for obs in observables])
-    eig_states = np.concatenate(
-        [_eig_seed_states(np.stack([c.matrix for c in choices])) for choices in all_choices]
-    )
-    eig_states = np.stack([_constrain_state(s, constraint) for s in eig_states])
-    oracle = _Oracle(proj_stack, dim, constraint, cfg.oracle_samples, rng_oracle, eig_states)
-
-    certificates = []
-    minima = [0.0]
-    for choices, rng in zip(all_choices, rng_levels):
-        cert, assembly = _solve_min_level(observables, choices, constraint, cfg, rng, oracle)
-        certificates.append(cert)
-        minima.append(assembly)
+    certificates = [cert for cert, _ in solved]
+    minima = [0.0] + [assembly for _, assembly in solved]
     minima.append(float(n_obs))
     entries = np.diff(np.maximum.accumulate(minima))
     entries = mj._isotonic_nonincreasing(entries, tol=1e-6)

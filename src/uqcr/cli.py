@@ -57,9 +57,12 @@ def _json_to_complex(x, field: str) -> complex:
     if (not isinstance(x, (list, tuple))) or len(x) != 2:
         raise InputError(f"{field}: complex numbers are [re, im] pairs")
     try:
-        return complex(float(x[0]), float(x[1]))
+        z = complex(float(x[0]), float(x[1]))
     except (TypeError, ValueError):
         raise InputError(f"{field}: complex parts must be numbers") from None
+    if not np.isfinite(z):
+        raise InputError(f"{field}: complex parts must be finite")
+    return z
 
 def _json_to_vector(x, field: str) -> np.ndarray:
     if not isinstance(x, list) or not x:
@@ -78,9 +81,12 @@ def _real_vector(x, field: str, size: int) -> np.ndarray:
     if not isinstance(x, list) or len(x) != size:
         raise InputError(f"{field}: expected {size} numbers")
     try:
-        return np.array([float(v) for v in x])
+        vec = np.array([float(v) for v in x])
     except (TypeError, ValueError):
         raise InputError(f"{field}: entries must be numbers") from None
+    if not np.all(np.isfinite(vec)):
+        raise InputError(f"{field}: entries must be finite")
+    return vec
 
 
 def _load_json(path: str) -> dict:
@@ -195,6 +201,8 @@ def parse_state_file(doc: dict, dim: int, origin: str = "state") -> DensityMatri
         vec = _real_vector(doc["bloch"], f"{origin}.bloch", 3)
         if "norm" in doc:
             norm = float(doc["norm"])
+            if not np.isfinite(norm):
+                raise InputError(f"{origin}.norm: must be finite")
             length = np.linalg.norm(vec)
             if length == 0.0:
                 raise InputError(f"{origin}.bloch: zero direction with a norm")
@@ -325,13 +333,17 @@ def _state_admissible(rho: DensityMatrix, constraint: bd.StateConstraint) -> boo
 def cmd_bounds(args) -> int:
     dim, observables = parse_observable_file(_load_json(args.observables), args.observables)
     constraint = _parse_constraint(args.constraint)
-    cfg = bd.SolverConfig(
-        max_iter=args.max_iter,
-        multistarts=args.multistarts,
-        tol=args.tol,
-        oracle_samples=args.oracle_samples,
-        seed=args.seed if args.seed is not None else _default_seed(),
-    )
+    try:
+        cfg = bd.SolverConfig(
+            max_iter=args.max_iter,
+            multistarts=args.multistarts,
+            tol=args.tol,
+            oracle_samples=args.oracle_samples,
+            seed=args.seed if args.seed is not None else _default_seed(),
+        )
+    except ValueError as exc:
+        field = str(exc).split()[0]
+        raise InputError(f"--{field.replace('_', '-')}: {exc}") from None
     t, t_certs = bd.infimum_t(observables, constraint, cfg)
     s, s_certs = bd.supremum_s(observables, constraint)
     doc = {

@@ -1,8 +1,8 @@
 """Finite-dimensional states and measurements.
 
-Density matrices, projective observables and POVMs are validated value
-types; Born-rule probabilities, mutual unbiasedness checks, the qubit
-Bloch parametrization and Hilbert-Schmidt random sampling live here.
+Density matrices and projective observables are validated value types;
+Born-rule probabilities, mutual unbiasedness checks, the qubit Bloch
+parametrization and Hilbert-Schmidt random sampling live here.
 """
 
 from __future__ import annotations
@@ -151,58 +151,9 @@ class ProjectiveObservable:
         return np.array(vecs)
 
 
-@dataclass(frozen=True)
-class Povm:
-    """Positive operators summing to the identity."""
-
-    elements: tuple
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        elems = tuple(np.array(e, dtype=complex) for e in self.elements)
-        if not elems:
-            raise ValueError("POVM needs at least one element")
-        dim = elems[0].shape[0]
-        acc = np.zeros((dim, dim), dtype=complex)
-        for i, e in enumerate(elems):
-            if e.shape != (dim, dim):
-                raise DimensionMismatch("elements must share one dimension")
-            if not _is_hermitian(e):
-                raise ValueError(f"element {i} is not Hermitian")
-            if float(np.linalg.eigvalsh(e).min()) < -HERM_TOL:
-                raise ValueError(f"element {i} is not positive semidefinite")
-            acc += e
-        if np.max(np.abs(acc - np.eye(dim))) > HERM_TOL:
-            raise ValueError("elements must sum to the identity")
-        for e in elems:
-            e.setflags(write=False)
-        object.__setattr__(self, "elements", elems)
-
-    @property
-    def dim(self) -> int:
-        return self.elements[0].shape[0]
-
-    @property
-    def outcome_count(self) -> int:
-        return len(self.elements)
-
-    @classmethod
-    def from_projective(cls, obs: ProjectiveObservable) -> "Povm":
-        return cls(obs.projectors, obs.name)
-
-
-def measurement_operators(obs) -> tuple:
-    """Outcome operators of either measurement flavour."""
-    if isinstance(obs, ProjectiveObservable):
-        return obs.projectors
-    if isinstance(obs, Povm):
-        return obs.elements
-    raise TypeError(f"not a measurement: {type(obs).__name__}")
-
-
 def born_probabilities(obs, rho: DensityMatrix) -> np.ndarray:
-    """Outcome probabilities Tr[X_i rho], clamped into [0, 1]."""
-    ops = measurement_operators(obs)
+    """Outcome probabilities Tr[P_i rho], clamped into [0, 1]."""
+    ops = obs.projectors
     if ops[0].shape[0] != rho.dim:
         raise DimensionMismatch(
             f"observable dim {ops[0].shape[0]} vs state dim {rho.dim}"

@@ -5,8 +5,9 @@ library implementations are checked against a different code path.
 """
 
 import numpy as np
+from scipy import optimize
 
-from uqcr import ProbVector, from_unsorted, observable_from_basis
+from uqcr import ProbVector, ProjectiveObservable, from_unsorted, observable_from_basis
 
 
 def prefix_majorized(a, b, tol=1e-10):
@@ -81,3 +82,51 @@ def sorted_prefix_matrix(observables, states):
     probs.sort(axis=1)
     probs = probs[:, ::-1]
     return np.cumsum(probs, axis=1)
+
+
+def coarse_grained_basis(dim, ranks, rng, name="coarse"):
+    """Random basis with consecutive kets merged into projectors of the given ranks."""
+    kets = random_orthonormal_basis(dim, rng).basis_vectors()
+    projectors, start = [], 0
+    for rank in ranks:
+        block = kets[start:start + rank]
+        projectors.append(block.T @ block.conj())
+        start += rank
+    return ProjectiveObservable(tuple(projectors), name)
+
+
+def kelley_choice_dual(cmats, max_cuts=80, tol=1e-12):
+    """Largest lambda_min over convex mixtures of the C(L, n) choice operators.
+
+    Reference for the L-weight dual: Kelley cutting planes with one
+    mixture weight per choice operator, starting from the uniform one.
+    """
+    n = cmats.shape[0]
+    q = np.full(n, 1.0 / n)
+    grads, offsets = [], []
+    best = -np.inf
+    objective = np.zeros(n + 1)
+    objective[n] = -1.0
+    a_eq = np.zeros((1, n + 1))
+    a_eq[0, :n] = 1.0
+    for _ in range(max_cuts):
+        w, v = np.linalg.eigh(np.einsum("c,cij->ij", q, cmats))
+        best = max(best, float(w[0]))
+        vec = v[:, 0]
+        grad = np.einsum("cij,j,i->c", cmats, vec, vec.conj()).real
+        grads.append(grad)
+        offsets.append(float(w[0] - grad @ q))
+        a_ub = np.zeros((len(grads), n + 1))
+        a_ub[:, :n] = -np.stack(grads)
+        a_ub[:, n] = 1.0
+        res = optimize.linprog(
+            objective, A_ub=a_ub, b_ub=np.array(offsets), A_eq=a_eq, b_eq=[1.0],
+            bounds=[(0.0, None)] * n + [(None, None)], method="highs",
+        )
+        if not res.success:
+            break
+        q = np.maximum(res.x[:n], 0.0)
+        q /= q.sum()
+        if float(res.x[n]) - best <= tol:
+            break
+    return best

@@ -26,10 +26,13 @@ from uqcr.bounds import (
     LevelOutOfRange,
     SolverConfig,
     StateConstraint,
+    _kelley_dual_bound,
     planar_triple_observables,
 )
 
 from helpers import (
+    coarse_grained_basis,
+    kelley_choice_dual,
     prefix_majorized,
     random_orthonormal_basis,
     sample_pure_states,
@@ -278,9 +281,7 @@ def test_fixed_norm_mid_radius_matches_closed_form():
 # ---------------------------------------------------------------------------
 # constraint validation
 
-def test_degenerate_projectors_need_real_solve():
-    # coarse outcome (rank-2) plus a fine basis: the uniform-mixture dual
-    # floor (0.4) sits below the true level-1 minimum (0.5)
+def coarse_and_fine_qutrit():
     blocks = ProjectiveObservable(
         (np.diag([1.0, 1.0, 0.0]).astype(complex), np.diag([0.0, 0.0, 1.0]).astype(complex)),
         "coarse",
@@ -288,12 +289,33 @@ def test_degenerate_projectors_need_real_solve():
     fine = ProjectiveObservable(
         tuple(np.outer(e, e.conj()) for e in np.eye(3, dtype=complex)), "fine"
     )
+    return [blocks, fine]
+
+
+def test_degenerate_projectors_need_real_solve():
+    # coarse outcome (rank-2) plus a fine basis: the uniform-mixture dual
+    # floor (0.4) sits below the true level-1 minimum (0.5)
+    obs = coarse_and_fine_qutrit()
     cfg = SolverConfig(seed=1, oracle_samples=20_000)
-    cert = min_topn_over_states([blocks, fine], 1, StateConstraint.all_states(), cfg)
+    cert = min_topn_over_states(obs, 1, StateConstraint.all_states(), cfg)
     assert cert.value == pytest.approx(0.5, abs=1e-6)
     assert cert.diagnostics.dual_gap is not None and cert.diagnostics.dual_gap <= 1e-6
-    t, _ = infimum_t([blocks, fine], StateConstraint.all_states(), cfg)
+    t, _ = infimum_t(obs, StateConstraint.all_states(), cfg)
     assert np.allclose(t.entries, [0.5, 0.5, 1 / 3, 1 / 3, 1 / 3], atol=1e-6)
+
+
+def test_projector_dual_matches_choice_dual():
+    # the dual over L projector weights equals the dual over C(L, n)
+    # choice-operator mixtures at every level; at this seed the uniform
+    # weights are loose on every level of the d=4 config
+    rng = np.random.default_rng(18)
+    d4_coarse = [coarse_grained_basis(4, (2, 1, 1), rng, f"c{i}") for i in range(3)]
+    for obs in (coarse_and_fine_qutrit(), d4_coarse):
+        proj = np.concatenate([np.stack(o.projectors) for o in obs])
+        for n in range(1, len(proj)):
+            cmats = np.stack([c.matrix for c in enumerate_choices(obs, n)])
+            dual = _kelley_dual_bound(proj, n, np.inf)
+            assert dual == pytest.approx(kelley_choice_dual(cmats), abs=1e-7)
 
 
 def test_qutrit_mub_set_envelopes(rng):

@@ -174,6 +174,59 @@ def test_malformed_json_names_field(tmp_path, capsys):
     assert "bloch_axis" in capsys.readouterr().err
 
 
+def test_non_finite_numbers_name_field(tmp_path, xz_bounds_file, capsys):
+    obs = tmp_path / "obs.json"
+    obs.write_text(
+        '{"dimension": 2, "observables": [{"name": "Z", "basis": '
+        '[[[1, 0], [0, 0]], [[0, 0], [NaN, 0]]]}]}'
+    )
+    assert run(["bounds", "--observables", str(obs), "--out", str(tmp_path / "o.json")]) == 1
+    assert "observables[0].basis[1][1]: complex parts must be finite" in capsys.readouterr().err
+    state = tmp_path / "state.json"
+    for text, message in (
+        ('{"bloch": [0, 0, Infinity]}', "state.json.bloch: entries must be finite"),
+        ('{"bloch": [0, 0, 1], "norm": NaN}', "state.json.norm: must be finite"),
+    ):
+        state.write_text(text)
+        code = run(
+            [
+                "verify",
+                "--observables", config("pauli_xz.json"),
+                "--state", str(state),
+                "--bounds", str(xz_bounds_file),
+            ]
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--multistarts", "0", "multistarts"),
+        ("--max-iter", "-1", "max_iter"),
+        ("--tol", "-1", "tol"),
+        ("--oracle-samples", "-5", "oracle_samples"),
+        ("--seed", "-1", "seed"),
+    ],
+)
+def test_bad_solver_flag_is_input_error(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "o.json"
+    code = run(
+        [
+            "bounds",
+            "--observables", config("mub3_qubit.json"),
+            "--constraint", "pure",
+            flag, value,
+            "--out", str(out),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {flag}: {field} must be" in err
+    assert not out.exists()
+
+
 def test_invalid_json_syntax(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

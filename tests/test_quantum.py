@@ -5,7 +5,6 @@ import pytest
 
 from uqcr import (
     DensityMatrix,
-    Povm,
     ProjectiveObservable,
     bloch_to_density,
     born_probabilities,
@@ -57,22 +56,6 @@ def test_degenerate_projectors_allowed():
     assert not obs.is_rank_one
     with pytest.raises(NotRankOne):
         obs.basis_vectors()
-
-
-def test_povm_accepts_any_projective(rng):
-    for dim in (2, 3):
-        obs = random_orthonormal_basis(dim, rng)
-        povm = Povm.from_projective(obs)
-        assert povm.outcome_count == obs.outcome_count
-        rho = random_density(dim, dim, rng)
-        assert np.allclose(
-            born_probabilities(povm, rho), born_probabilities(obs, rho), atol=1e-14
-        )
-    # a genuinely non-projective POVM also validates
-    third = np.eye(2, dtype=complex) / 3
-    povm = Povm((third, third, third))
-    probs = born_probabilities(povm, DensityMatrix.maximally_mixed(2))
-    assert np.allclose(probs, 1 / 3, atol=1e-12)
 
 
 def test_born_eigenstate_and_unbiased():
