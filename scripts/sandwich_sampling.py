@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from uqcr import infimum_t, pauli_observable, standard_mub_set, supremum_s
-from uqcr.bounds import SolverConfig, StateConstraint, planar_triple_observables
+from uqcr.bounds import SolverConfig, StateConstraint, _Oracle, planar_triple_observables
 
 CONFIGS = {
     "two_paulis": lambda: ([pauli_observable("x"), pauli_observable("z")], "all_states"),
@@ -21,16 +21,6 @@ CONFIGS = {
     "qubit_mubs": lambda: (standard_mub_set(2), "pure_only"),
     "qutrit_mubs": lambda: (standard_mub_set(3), "all_states"),
 }
-
-
-def sample_states(dim, kind, count, rng):
-    if kind == "pure_only":
-        kets = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-        kets /= np.linalg.norm(kets, axis=1)[:, None]
-        return kets[:, :, None] * kets[:, None, :].conj()
-    g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
-    mats = g @ np.conj(np.swapaxes(g, -1, -2))
-    return mats / np.real(np.trace(mats, axis1=-2, axis2=-1))[:, None, None]
 
 
 def main():
@@ -42,18 +32,15 @@ def main():
     args = parser.parse_args()
 
     observables, kind = CONFIGS[args.config]()
-    constraint = StateConstraint(kind) if kind != "fixed_bloch_norm" else None
+    constraint = StateConstraint(kind)
     cfg = SolverConfig(seed=args.seed)
     t, _ = infimum_t(observables, constraint, cfg)
     s, _ = supremum_s(observables, constraint)
 
-    rng = np.random.default_rng(args.seed)
-    states = sample_states(observables[0].dim, kind, args.samples, rng)
     proj = np.concatenate([np.stack(obs.projectors) for obs in observables])
-    probs = np.einsum("sij,pji->sp", states, proj).real
-    np.clip(probs, 0.0, 1.0, out=probs)
-    probs.sort(axis=1)
-    prefix = np.cumsum(probs[:, ::-1], axis=1)
+    prefix = _Oracle(
+        proj, observables[0].dim, constraint, args.samples, np.random.default_rng(args.seed)
+    ).prefix
 
     t_prefix, s_prefix = np.cumsum(t.entries), np.cumsum(s.entries)
     lower_bad = int(np.sum(np.any(prefix < t_prefix[None, :] - args.tolerance, axis=1)))

@@ -7,11 +7,12 @@ distribution.  Minimizing it over admissible states for every level and
 differencing the minima assembles the greatest lower bound ``t``.  Over
 all states, minimax duality turns each minimum into the largest
 ``lambda_min(sum_k w_k Pi_k)`` over the capped simplex
-{0 <= w_k <= 1, sum_k w_k = n}, a certified value from L weights.  The
-level-n maximum is the largest eigenvalue over the C(L, n) subset
-operators (sums of n projectors split across the observables), which
-are enumerated exactly; flattening the maxima with the least concave
-majorant assembles the least upper bound ``s``.
+{0 <= w_k <= 1, sum_k w_k = n}, a certified value from L weights; the
+multipliers of its last cutting-plane LP mix the cut eigenvectors into
+the primal state.  The level-n maximum is the largest eigenvalue over
+the C(L, n) subset operators (sums of n projectors split across the
+observables), which are enumerated exactly; flattening the maxima with
+the least concave majorant assembles the least upper bound ``s``.
 """
 
 from __future__ import annotations
@@ -49,12 +50,11 @@ class SolverDiverged(UqcrError):
 class SolverConfig:
     """Knobs for the min-max solver; all runs are deterministic per seed."""
 
-    max_iter: int = 5000
+    max_iter: int = 80  # cutting-plane LPs per level over all states
     multistarts: int = 64
     tol: float = 1e-7
     oracle_samples: int = 100_000
     seed: int = 0
-    step_scale: float = 0.5
 
     def __post_init__(self) -> None:
         # messages start with the field name, which the CLI maps to its flag
@@ -64,7 +64,6 @@ class SolverConfig:
             ("tol", self.tol > 0.0, "> 0"),
             ("oracle_samples", self.oracle_samples >= 1, ">= 1"),
             ("seed", self.seed >= 0, ">= 0"),
-            ("step_scale", self.step_scale > 0.0, "> 0"),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -101,6 +100,14 @@ class StateConstraint:
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
+    """Per-level solver record.
+
+    ``iterations``: LP solves over all states, Nelder-Mead evaluations
+    otherwise.  ``multistart_index``: over all states 0 is the maximally
+    mixed state, 1 the oracle's best state, 2 the LP-multiplier state;
+    otherwise the winning Nelder-Mead start.
+    """
+
     iterations: int
     multistart_index: int
     residual: float
@@ -291,59 +298,45 @@ class _Oracle:
 # ---------------------------------------------------------------------------
 # level minimization
 
-def _project_simplex_rows(w: np.ndarray) -> np.ndarray:
-    n = w.shape[1]
-    u = np.sort(w, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    idx = np.arange(1, n + 1)
-    cond = u - css / idx > 0.0
-    last = cond.cumsum(axis=1).argmax(axis=1)
-    theta = css[np.arange(w.shape[0]), last] / (last + 1.0)
-    return np.maximum(w - theta[:, None], 0.0)
-
-
-def _project_density_batch(mats: np.ndarray) -> np.ndarray:
-    mats = 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
-    w, v = np.linalg.eigh(mats)
-    lam = _project_simplex_rows(w)
-    out = (v * lam[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
-
-
-def _kelley_dual_bound(proj: np.ndarray, n: int, target: float,
-                       max_cuts: int = 80, tol: float = 1e-12) -> float:
+def _kelley_dual_bound(proj: np.ndarray, n: int, target: float, max_lps: int,
+                       tol: float = 1e-12) -> tuple[float, np.ndarray | None, int]:
     """Maximize lambda_min(sum_k w_k Pi_k) over the capped simplex.
 
     The weights range over {0 <= w_k <= 1, sum_k w_k = n}, one per
     outcome projector.  Since the top-n sum of Born probabilities is the
     largest sum_k w_k p_k over that set, minimax duality makes the
     maximum equal to the level-n minimum over all states.  Kelley
-    cutting planes start from the uniform weights n/L; each iterate
-    contributes the linearization through its bottom eigenvector, and a
-    small LP over the L weights proposes the next.  Stops once the value
-    reaches ``target`` (the primal value less the gap tolerance) or the
-    LP bound is within ``tol``.  Returns the best certified value, a
-    valid lower bound at every step.
+    cutting planes start from the uniform weights n/L (always evaluated);
+    each iterate adds the cut v_j^dag (sum_k w_k Pi_k) v_j through its
+    bottom eigenvector v_j, and a small LP over the L weights proposes
+    the next.  Stops once the value reaches ``target`` (the primal value
+    less the gap tolerance), the LP bound is within ``tol``, or after
+    ``max_lps`` LPs.  The LP's cut multipliers mu_j sum to 1, and by LP
+    duality rho = sum_j mu_j v_j v_j^dag has top-n sum equal to the LP
+    bound.  Returns the best certified value (a valid lower bound at
+    every step), rho from the last solved LP or None, and the LP count.
     """
     count = proj.shape[0]
     w = np.full(count, n / count)
     grads: list[np.ndarray] = []
     offsets: list[float] = []
-    best = -np.inf
+    kets: list[np.ndarray] = []
+    best, state, lps = -np.inf, None, 0
     bounds = [(0.0, 1.0)] * count + [(None, None)]
     objective = np.zeros(count + 1)
     objective[count] = -1.0
     a_eq = np.zeros((1, count + 1))
     a_eq[0, :count] = 1.0
-    for _ in range(max_cuts):
+    while True:
         lam, vecs = np.linalg.eigh(np.einsum("k,kij->ij", w, proj))
         best = max(best, float(lam[0]))
-        if best >= target:
+        if best >= target or lps == max_lps:
             break
         vec = vecs[:, 0]
         grad = np.einsum("kij,j,i->k", proj, vec, vec.conj(), optimize=True).real
         grads.append(grad)
         offsets.append(float(lam[0] - grad @ w))
+        kets.append(vec)
         a_ub = np.zeros((len(grads), count + 1))
         a_ub[:, :count] = -np.stack(grads)
         a_ub[:, count] = 1.0
@@ -351,79 +344,43 @@ def _kelley_dual_bound(proj: np.ndarray, n: int, target: float,
             objective, A_ub=a_ub, b_ub=np.array(offsets), A_eq=a_eq, b_eq=[float(n)],
             bounds=bounds, method="highs",
         )
+        lps += 1
         if not res.success:
             break
+        # multipliers are nonnegative and sum to 1 up to the LP's tolerance;
+        # renormalizing keeps rho a density matrix
+        mu = np.maximum(-res.ineqlin.marginals, 0.0)
+        basis = np.stack(kets, axis=1)
+        state = (basis * (mu / mu.sum())) @ basis.conj().T
         # LP round-off may leave the capped simplex; shrinking back into it
         # keeps lambda_min a lower bound on every state's top-n sum
         w = np.clip(res.x[:count], 0.0, 1.0)
         w *= min(1.0, n / w.sum())
         if float(res.x[count]) - best <= tol:
             break
-    return best
+    return best, state, lps
 
 
 def _min_level_all_states(proj: np.ndarray, n: int, cfg: SolverConfig,
-                          rng: np.random.Generator, oracle_state: np.ndarray):
-    """Projected subgradient descent over the density-matrix set.
+                          oracle_state: np.ndarray):
+    """Level minimum over all density matrices, primal and certified dual.
 
-    The subgradient at a state is the sum of the projectors of its n
-    largest Born probabilities.  A certified dual bound (from cutting
-    planes over the projector weights) supplies the Polyak step target;
-    iterates are also averaged over a doubling trailing window.  Returns
-    primal value, certified lower bound, state, iterations, start index.
+    Candidates: the maximally mixed state (start index 0), the oracle's
+    best state (1) and the Kelley LP-multiplier state (2); the smallest
+    top-n sum wins.  Kelley's target is the better of the first two less
+    the gap tolerance.  Returns primal value, certified lower bound,
+    state, LP solves, start index.
     """
-    count, dim = proj.shape[0], proj.shape[-1]
-    gram = np.einsum("kij,lji->kl", proj, proj).real
-    pflat = proj.reshape(count, -1)
-    starts = [np.eye(dim, dtype=complex) / dim, oracle_state]
-    while len(starts) < cfg.multistarts:
-        starts.append(_sample_states(dim, StateConstraint.all_states(), 1, rng)[0])
-    rho = np.stack(starts[: cfg.multistarts])
-
-    def evaluate(states):
-        probs = _born(states, proj)
-        top = np.argpartition(probs, -n, axis=1)[:, -n:]
-        return np.take_along_axis(probs, top, axis=1).sum(axis=1), top
-
+    dim = proj.shape[-1]
     gap_tol = max(1e-12, min(cfg.tol, 1e-9))
-    fk, top = evaluate(rho)
-    i = int(fk.argmin())
-    best_val, best_state, best_start = float(fk[i]), rho[i].copy(), i
-    f_lb = _kelley_dual_bound(proj, n, best_val - gap_tol)
-    iters = 0
-    if best_val - f_lb > gap_tol:
-        avg = np.zeros_like(rho)
-        avg_n = 0
-        next_restart = 8
-        for k in range(1, cfg.max_iter + 1):
-            iters = k
-            chosen = np.zeros((rho.shape[0], count))
-            np.put_along_axis(chosen, top, 1.0, axis=1)
-            gnorm2 = np.maximum(np.einsum("bk,kl,bl->b", chosen, gram, chosen), 1e-12)
-            # Polyak step toward the certified target, at most c/sqrt(k) long
-            polyak = np.maximum(fk - f_lb, 0.0) / gnorm2
-            step = np.minimum(polyak, cfg.step_scale / math.sqrt(k))
-            subgrad = (chosen @ pflat).reshape(rho.shape)
-            rho = _project_density_batch(rho - step[:, None, None] * subgrad)
-            fk, top = evaluate(rho)
-            i = int(fk.argmin())
-            if fk[i] < best_val:
-                best_val, best_state, best_start = float(fk[i]), rho[i].copy(), i
-            if best_val - f_lb <= gap_tol:
-                break
-            # averaging window doubles, spanning a trailing half of the run
-            avg += rho
-            avg_n += 1
-            if k == next_restart:
-                next_restart *= 2
-                mean_states = _project_density_batch(avg / avg_n)
-                mf, _ = evaluate(mean_states)
-                j = int(mf.argmin())
-                if mf[j] < best_val:
-                    best_val, best_state, best_start = float(mf[j]), mean_states[j].copy(), j
-                avg = np.zeros_like(rho)
-                avg_n = 0
-    return best_val, f_lb, best_state, iters, best_start
+    states = [np.eye(dim, dtype=complex) / dim, oracle_state]
+    values = list(_top_n_sum(_born(np.stack(states), proj), n))
+    f_lb, lp_state, lps = _kelley_dual_bound(proj, n, min(values) - gap_tol, cfg.max_iter)
+    if lp_state is not None:
+        states.append(lp_state)
+        values.append(_top_n_sum(_born(lp_state[None], proj), n)[0])
+    i = int(np.argmin(values))
+    return float(values[i]), f_lb, states[i], lps, i
 
 
 _NM_SCAN = {"xatol": 1e-8, "fatol": 1e-10, "maxiter": 800, "maxfev": 1600}
@@ -527,7 +484,7 @@ def _min_level_pure_ket(proj, n, cfg, rng, oracle_state):
 def _solve_min_level(observables, proj, n, constraint, cfg, rng, oracle):
     oracle_min, oracle_state = oracle.min_at(n)
     if constraint.kind == "all_states":
-        solve = _min_level_all_states(proj, n, cfg, rng, oracle_state)
+        solve = _min_level_all_states(proj, n, cfg, oracle_state)
     # pure and fixed-norm states: multistart Nelder-Mead on a chart
     elif constraint.kind == "fixed_bloch_norm" or proj.shape[-1] == 2:
         radius = 1.0 if constraint.kind == "pure_only" else float(constraint.r)

@@ -302,6 +302,19 @@ def _bounds_from_file(path: str):
     return doc, t, s, constraint, observables
 
 
+def _check_same_observables(observables, embedded, bounds_path: str) -> None:
+    """Reject --observables unless it matches the bounds file's, in file order."""
+    for i in range(max(len(observables), len(embedded))):
+        if i < min(len(observables), len(embedded)):
+            ours = np.stack(observables[i].projectors)
+            theirs = np.stack(embedded[i].projectors)
+            if ours.shape == theirs.shape and np.max(np.abs(ours - theirs)) <= 1e-9:
+                continue
+        raise InputError(
+            f"--observables: observables[{i}] differs from the one in {bounds_path}"
+        )
+
+
 def _report_to_json(report: certainty.CertaintyReport) -> dict:
     return {
         "schema": REPORT_SCHEMA,
@@ -374,8 +387,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _, t, s, constraint, _embedded = _bounds_from_file(args.bounds)
+    _, t, s, constraint, embedded = _bounds_from_file(args.bounds)
     dim, observables = parse_observable_file(_load_json(args.observables), args.observables)
+    _check_same_observables(observables, embedded, args.bounds)
     rho = parse_state_file(_load_json(args.state), dim, args.state)
     report = certainty.certify_state(observables, rho, (t, s), unit=args.unit)
     text = _dump_json(_report_to_json(report))
@@ -417,8 +431,9 @@ def cmd_lorenz(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    _, t, s, _constraint, _embedded = _bounds_from_file(args.bounds)
+    _, t, s, _constraint, embedded = _bounds_from_file(args.bounds)
     dim, observables = parse_observable_file(_load_json(args.observables), args.observables)
+    _check_same_observables(observables, embedded, args.bounds)
     rho = parse_state_file(_load_json(args.state), dim, args.state)
     report = certainty.certify_state(observables, rho, (t, s), unit=args.unit)
     doc = {
@@ -486,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--constraint", default="all", help="all | pure | bloch=R")
     p_bounds.add_argument("--seed", type=int, default=None)
     p_bounds.add_argument("--multistarts", type=int, default=64)
-    p_bounds.add_argument("--max-iter", type=int, default=5000)
+    p_bounds.add_argument("--max-iter", type=int, default=80,
+                          help="cutting-plane LPs per level over all states")
     p_bounds.add_argument("--tol", type=float, default=1e-7)
     p_bounds.add_argument("--oracle-samples", type=int, default=100_000)
     p_bounds.add_argument("--out", required=True)

@@ -314,8 +314,22 @@ def test_projector_dual_matches_choice_dual():
         proj = np.concatenate([np.stack(o.projectors) for o in obs])
         for n in range(1, len(proj)):
             cmats = np.stack([c.matrix for c in enumerate_choices(obs, n)])
-            dual = _kelley_dual_bound(proj, n, np.inf)
+            dual, _, _ = _kelley_dual_bound(proj, n, np.inf, 80)
             assert dual == pytest.approx(kelley_choice_dual(cmats), abs=1e-7)
+
+
+def test_lp_multiplier_state_closes_the_gap():
+    # at this seed the uniform weights are loose on every level, so the
+    # primal has to come from the cutting-plane LP
+    rng = np.random.default_rng(18)
+    obs = [coarse_grained_basis(4, (2, 1, 1), rng, f"c{i}") for i in range(3)]
+    _, certs = infimum_t(obs, StateConstraint.all_states(), FAST)
+    proj = np.concatenate([np.stack(o.projectors) for o in obs])
+    for cert in certs:
+        probs = np.real(np.einsum("kij,ji->k", proj, cert.achieving_state.matrix))
+        assert cert.value == pytest.approx(np.sort(probs)[-cert.level:].sum(), abs=1e-12)
+        assert cert.diagnostics.dual_gap <= 1e-6
+    assert any(c.diagnostics.multistart_index == 2 for c in certs)
 
 
 def test_qutrit_mub_set_envelopes(rng):
@@ -355,7 +369,7 @@ def test_state_constraint_validation():
 
 def test_solver_config_defaults():
     cfg = SolverConfig()
-    assert cfg.max_iter == 5000
+    assert cfg.max_iter == 80
     assert cfg.multistarts == 64
     assert cfg.tol == 1e-7
     assert cfg.oracle_samples == 100_000

@@ -200,6 +200,26 @@ def test_non_finite_numbers_name_field(tmp_path, xz_bounds_file, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, entries", [
+    ("verify", [{"name": "X", "preset": "pauli_x"}, {"name": "Y", "preset": "pauli_y"}]),
+    ("entropy", [{"name": "mub", "preset": "mub_set"}]),  # X, Y, Z
+])
+def test_mismatched_observables_name_field(tmp_path, xz_bounds_file, capsys, command, entries):
+    # the bounds file holds X and Z; both inputs first differ at index 1
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps({"dimension": 2, "observables": entries}))
+    code = run(
+        [
+            command,
+            "--observables", str(obs),
+            "--state", config("states/maximally_mixed_d2.json"),
+            "--bounds", str(xz_bounds_file),
+        ]
+    )
+    assert code == 1
+    assert "error: --observables: observables[1] differs" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flag, value, field",
     [

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, assume
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from uqcr import (
@@ -256,9 +256,17 @@ def test_meet_is_greatest_lower_bound(pair):
 @settings(max_examples=60, deadline=None)
 @given(vector_pairs(max_dim=6), st.integers(0, 2 ** 32 - 1))
 def test_random_common_lower_bounds_stay_below_meet(pair, seed):
+    # c = (1 - lam) uniform + lam r with the largest lam in [0, 1] whose
+    # prefixes stay at or below those of a and b
     a, b = pair
-    c = random_probvector(np.random.default_rng(seed), len(a))
-    assume(prefix_majorized(c, a) and prefix_majorized(c, b))
+    n = len(a)
+    r = random_probvector(np.random.default_rng(seed), n)
+    floor = np.arange(1, n + 1) / n
+    room = np.minimum(np.cumsum(a.entries), np.cumsum(b.entries)) - floor
+    rise = np.cumsum(r.entries) - floor
+    lam = max(0.0, min([1.0] + [float(x / y) for x, y in zip(room, rise) if y > 0.0]))
+    c = ProbVector((1.0 - lam) / n + lam * r.entries)
+    assert prefix_majorized(c, a) and prefix_majorized(c, b)
     assert prefix_majorized(c, meet(a, b))
 
 
