@@ -7,6 +7,7 @@ from .majorization import (
     from_unsorted,
     is_majorized_by,
     join,
+    join_all,
     lorenz,
     meet,
     meet_all,

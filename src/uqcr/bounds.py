@@ -501,9 +501,9 @@ def _solve_min_level(observables, proj, n, constraint, cfg, rng, oracle):
     if oracle_min < value:
         value, state = oracle_min, oracle_state
     # assembly uses the certified side: the dual bound never exceeds the
-    # true minimum, so envelopes built from it stay valid lower bounds
+    # true minimum, so envelopes built from it stay valid lower bounds;
+    # pure and fixed-norm levels have no dual and use the local minimum
     assembly = dual if np.isfinite(dual) else value
-    assembly = min(assembly, value)
     diag = SolverDiagnostics(
         iterations=iters,
         multistart_index=start,

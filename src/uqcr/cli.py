@@ -302,8 +302,11 @@ def _bounds_from_file(path: str):
     return doc, t, s, constraint, observables
 
 
-def _check_same_observables(observables, embedded, bounds_path: str) -> None:
-    """Reject --observables unless it matches the bounds file's, in file order."""
+def _observables_for(args, embedded):
+    """The bounds file's observables, or --observables if it matches them in order."""
+    if args.observables is None:
+        return embedded
+    _, observables = parse_observable_file(_load_json(args.observables), args.observables)
     for i in range(max(len(observables), len(embedded))):
         if i < min(len(observables), len(embedded)):
             ours = np.stack(observables[i].projectors)
@@ -311,8 +314,9 @@ def _check_same_observables(observables, embedded, bounds_path: str) -> None:
             if ours.shape == theirs.shape and np.max(np.abs(ours - theirs)) <= 1e-9:
                 continue
         raise InputError(
-            f"--observables: observables[{i}] differs from the one in {bounds_path}"
+            f"--observables: observables[{i}] differs from the one in {args.bounds}"
         )
+    return observables
 
 
 def _report_to_json(report: certainty.CertaintyReport) -> dict:
@@ -388,9 +392,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     _, t, s, constraint, embedded = _bounds_from_file(args.bounds)
-    dim, observables = parse_observable_file(_load_json(args.observables), args.observables)
-    _check_same_observables(observables, embedded, args.bounds)
-    rho = parse_state_file(_load_json(args.state), dim, args.state)
+    observables = _observables_for(args, embedded)
+    rho = parse_state_file(_load_json(args.state), observables[0].dim, args.state)
     report = certainty.certify_state(observables, rho, (t, s), unit=args.unit)
     text = _dump_json(_report_to_json(report))
     if args.out:
@@ -432,9 +435,8 @@ def cmd_lorenz(args) -> int:
 
 def cmd_entropy(args) -> int:
     _, t, s, _constraint, embedded = _bounds_from_file(args.bounds)
-    dim, observables = parse_observable_file(_load_json(args.observables), args.observables)
-    _check_same_observables(observables, embedded, args.bounds)
-    rho = parse_state_file(_load_json(args.state), dim, args.state)
+    observables = _observables_for(args, embedded)
+    rho = parse_state_file(_load_json(args.state), observables[0].dim, args.state)
     report = certainty.certify_state(observables, rho, (t, s), unit=args.unit)
     doc = {
         "unit": report.unit,
@@ -450,7 +452,11 @@ def cmd_entropy(args) -> int:
 def cmd_coherence(args) -> int:
     dim, bases = parse_observable_file(_load_json(args.bases), args.bases)
     seed = args.seed if args.seed is not None else _default_seed()
-    cfg = bd.SolverConfig(seed=seed)
+    try:
+        cfg = bd.SolverConfig(seed=seed)
+        sampling = coh.CoherenceSampling(samples=args.samples, seed=seed)
+    except ValueError as exc:
+        raise InputError(f"--{str(exc).split()[0]}: {exc}") from None
     mu_t, mu_s = coh.coherence_complementarity_bounds(bases, cfg)
     doc = {
         "unit": args.unit,
@@ -468,9 +474,7 @@ def cmd_coherence(args) -> int:
                 w, v = np.linalg.eigh(rho.matrix)
                 mu = coh.coherence_vector_pure(v[:, -1], basis)
             else:
-                mu = coh.coherence_vector_mixed_approx(
-                    rho, basis, coh.CoherenceSampling(samples=args.samples, seed=seed)
-                )
+                mu = coh.coherence_vector_mixed_approx(rho, basis, sampling)
             per_basis.append(
                 {
                     "basis": basis.name,
@@ -509,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_verify = sub.add_parser("verify", help="sandwich-check a state against bounds")
-    p_verify.add_argument("--observables", required=True)
+    p_verify.add_argument("--observables", help="default: the bounds file's")
     p_verify.add_argument("--state", required=True)
     p_verify.add_argument("--bounds", required=True)
     p_verify.add_argument("--out", default=None)
@@ -523,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lorenz.set_defaults(func=cmd_lorenz)
 
     p_entropy = sub.add_parser("entropy", help="entropy caps for a state")
-    p_entropy.add_argument("--observables", required=True)
+    p_entropy.add_argument("--observables", help="default: the bounds file's")
     p_entropy.add_argument("--state", required=True)
     p_entropy.add_argument("--bounds", required=True)
     p_entropy.add_argument("--unit", choices=("bits", "nats"), default="bits")

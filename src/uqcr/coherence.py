@@ -4,8 +4,7 @@ For a pure state the coherence vector with respect to a basis is just
 its sorted outcome distribution, so the envelope machinery applies
 verbatim over pure states.  For mixed states the defining supremum runs
 over all pure-state decompositions; here it is approximated from below
-by folding the lattice join over sampled decompositions and labelled as
-such.
+by one lattice join over sampled decompositions and labelled as such.
 """
 
 from __future__ import annotations
@@ -31,6 +30,12 @@ class CoherenceSampling:
     samples: int = 256
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # messages start with the field name, which the CLI maps to its flag
+        for name in ("samples", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+
 
 @dataclass(frozen=True)
 class CoherenceVector:
@@ -49,45 +54,35 @@ def coherence_vector_pure(psi, basis: ProjectiveObservable) -> CoherenceVector:
     return CoherenceVector(basis.name, mj.from_unsorted(probs, 1.0), "exact")
 
 
-def _haar_unitary(k: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def coherence_vector_mixed_approx(rho: DensityMatrix, basis: ProjectiveObservable,
                                   cfg: CoherenceSampling = CoherenceSampling()) -> CoherenceVector:
     """Join over sampled pure-state decompositions of ``rho``.
 
     Every finite decomposition arises from a unitary mixing of the eigen
     ensemble, so the returned vector is majorized by the true coherence
-    vector; monotone in the sample count for a fixed seed.
+    vector.  The eigen ensemble and ``cfg.samples`` Haar mixings, drawn
+    in one batch, give one prefix-sum row each (per-member sorted
+    outcome weights, summed); a single lattice join over all rows
+    finishes.  Sample s+1 extends the draws of sample s, so the vector is
+    monotone in the sample count for a fixed seed.
     """
     w, v = np.linalg.eigh(rho.matrix)
     keep = w > 1e-12
     w, v = w[keep], v[:, keep]
     rank = int(w.size)
-    bmat = basis.basis_vectors().conj()
     if rank == 1:
-        return CoherenceVector(
-            basis.name,
-            mj.from_unsorted(np.abs(bmat @ v[:, 0]) ** 2, 1.0),
-            "exact",
-        )
-    ensemble = v * np.sqrt(w)[None, :]
-
-    def mixture_vector(columns: np.ndarray) -> mj.ProbVector:
-        weights = np.abs(bmat @ columns) ** 2  # (N outcomes, k members)
-        weights[::-1].sort(axis=0)
-        return mj.from_unsorted(weights.sum(axis=1), 1.0)
-
-    current = mixture_vector(ensemble)
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.samples):
-        u = _haar_unitary(rank, rng)
-        current = mj.join(current, mixture_vector(ensemble @ u.conj().T))
-    return CoherenceVector(basis.name, current, "approximate_lower")
+        return coherence_vector_pure(v[:, 0], basis)
+    # Haar unitaries: QR of complex Ginibre matrices, phases fixed by diag(R)
+    g = np.random.default_rng(cfg.seed).standard_normal((cfg.samples, 2, rank, rank))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    u = q * (d / np.abs(d))[:, None, :]
+    mixes = np.concatenate((np.eye(rank)[None], u.conj().swapaxes(-1, -2)))
+    bmat = basis.basis_vectors().conj()
+    weights = np.abs(bmat @ (v * np.sqrt(w)[None, :]) @ mixes) ** 2  # (mix, outcome, member)
+    weights[:, ::-1].sort(axis=1)
+    prefixes = np.cumsum(weights.sum(axis=2), axis=1)
+    return CoherenceVector(basis.name, mj.join_prefix_sums(prefixes, 1.0), "approximate_lower")
 
 
 def coherence_complementarity_bounds(bases, cfg: bd.SolverConfig = bd.SolverConfig()):

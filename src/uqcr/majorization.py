@@ -159,15 +159,7 @@ def meet(a: ProbVector, b: ProbVector) -> ProbVector:
 
 def meet_all(vectors) -> ProbVector:
     """Infimum of a set, via joint componentwise prefix-sum minima."""
-    vectors = list(vectors)
-    if not vectors:
-        raise EmptySet("meet over an empty set")
-    total = vectors[0].total
-    n = max(len(v) for v in vectors)
-    for v in vectors[1:]:
-        if abs(v.total - total) > SUM_TOL:
-            raise TotalMismatch(f"totals {total!r} and {v.total!r} differ")
-    prefixes = np.stack([np.cumsum(v.padded(n).entries) for v in vectors])
+    prefixes, total = _prefix_stack(vectors, "meet")
     low = prefixes.min(axis=0)
     entries = np.diff(low, prepend=0.0)
     # The min of concave curves is concave; wash out float dust only.
@@ -177,19 +169,45 @@ def meet_all(vectors) -> ProbVector:
 
 
 def join(a: ProbVector, b: ProbVector) -> ProbVector:
-    """Least upper bound: least concave majorant of the prefix maxima.
+    """Least upper bound of two vectors; see ``join_all``."""
+    return join_all([a, b])
 
-    The pointwise max of two concave Lorenz curves need not be concave;
-    flattening by the upper convex hull in cumulative coordinates yields
-    the smallest valid curve above both.
+
+def join_all(vectors) -> ProbVector:
+    """Supremum of a set: least concave majorant of the joint prefix maxima."""
+    return join_prefix_sums(*_prefix_stack(vectors, "join"))
+
+
+def join_prefix_sums(prefixes: np.ndarray, total: float) -> ProbVector:
+    """Join of the vectors whose prefix sums are the rows of ``prefixes``.
+
+    The max of concave curves need not be concave; the upper convex hull
+    flattens it.  The join is associative, so one pass over all rows
+    equals a pairwise fold.  Clipping the max at ``total`` keeps rounding
+    in the row sums out of the last entry.
     """
-    ea, eb, total = _pad_common(a, b)
-    high = np.maximum(np.cumsum(ea), np.cumsum(eb))
+    ends = prefixes[:, -1]
+    if np.any(np.abs(ends - total) > SUM_TOL):
+        raise SumMismatch(f"row sums span {ends.min():.12g}..{ends.max():.12g}, not {total!r}")
+    high = np.minimum(prefixes.max(axis=0), total)
+    high[-1] = total
     flat = least_concave_majorant(np.concatenate(([0.0], high)))
-    entries = np.diff(flat)
-    entries = _isotonic_nonincreasing(entries, tol=1e-9)
+    entries = _isotonic_nonincreasing(np.diff(flat), tol=1e-9)
     entries[0] += total - entries.sum()
     return ProbVector(entries, total)
+
+
+def _prefix_stack(vectors, op: str) -> tuple[np.ndarray, float]:
+    """Prefix sums of a non-empty set with one total, padded to one length."""
+    vectors = list(vectors)
+    if not vectors:
+        raise EmptySet(f"{op} over an empty set")
+    total = vectors[0].total
+    n = max(len(v) for v in vectors)
+    for v in vectors[1:]:
+        if abs(v.total - total) > SUM_TOL:
+            raise TotalMismatch(f"totals {total!r} and {v.total!r} differ")
+    return np.stack([np.cumsum(v.padded(n).entries) for v in vectors]), total
 
 
 def direct_sum(vectors) -> ProbVector:
@@ -235,8 +253,9 @@ def relative_entropy_term(t: ProbVector, p: ProbVector, unit: str = "bits") -> f
 def least_concave_majorant(values: np.ndarray) -> np.ndarray:
     """Smallest concave sequence above ``values`` (values[0] must be 0).
 
-    Computed as the upper convex hull over the points (k, values[k]) by a
-    single monotone-chain pass, then interpolated back to integer k.
+    Computed once per join, over the max of all its Lorenz curves, as the
+    upper convex hull of the points (k, values[k]) by a single
+    monotone-chain pass, then interpolated back to integer k.
     """
     y = np.asarray(values, dtype=float)
     n = y.size

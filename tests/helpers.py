@@ -7,7 +7,7 @@ library implementations are checked against a different code path.
 import numpy as np
 from scipy import optimize
 
-from uqcr import ProbVector, ProjectiveObservable, from_unsorted, observable_from_basis
+from uqcr import ProbVector, ProjectiveObservable, from_unsorted, join, observable_from_basis
 
 
 def prefix_majorized(a, b, tol=1e-10):
@@ -130,3 +130,32 @@ def kelley_choice_dual(cmats, max_cuts=80, tol=1e-12):
         if float(res.x[n]) - best <= tol:
             break
     return best
+
+
+def fold_coherence_vector_mixed(rho, basis, samples, seed):
+    """Pairwise-join fold over sampled decompositions, one Haar draw at a time.
+
+    Reference for the batched mixed-state coherence vector: it draws the
+    same unitaries from the same stream, builds each mixture vector on its
+    own and folds ``join`` over them.
+    """
+    w, v = np.linalg.eigh(rho.matrix)
+    keep = w > 1e-12
+    w, v = w[keep], v[:, keep]
+    rank = int(w.size)
+    bmat = basis.basis_vectors().conj()
+    ensemble = v * np.sqrt(w)[None, :]
+
+    def mixture_vector(columns):
+        weights = np.abs(bmat @ columns) ** 2  # (N outcomes, k members)
+        weights[::-1].sort(axis=0)
+        return from_unsorted(weights.sum(axis=1), 1.0)
+
+    current = mixture_vector(ensemble)
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        g = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
+        q, r = np.linalg.qr(g)
+        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        current = join(current, mixture_vector(ensemble @ u.conj().T))
+    return current

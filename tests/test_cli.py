@@ -166,6 +166,36 @@ def test_coherence_stdout(capsys):
     assert doc["states"][1]["per_basis"][0]["exactness"] == "approximate_lower"
 
 
+@pytest.mark.parametrize("flag, value", [("--samples", "-5"), ("--seed", "-1")])
+def test_bad_coherence_flag_is_input_error(capsys, flag, value):
+    code = run(
+        [
+            "coherence",
+            "--bases", config("pauli_xz.json"),
+            "--state", config("states/maximally_mixed_d2.json"),
+            flag, value,
+        ]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"error: {flag}: {flag[2:]} must be >= 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "entropy"])
+def test_observables_default_to_bounds_file(xz_bounds_file, capsys, command):
+    args = [
+        command,
+        "--state", config("states/bloch_tilted.json"),
+        "--bounds", str(xz_bounds_file),
+    ]
+    assert run(args + ["--observables", config("pauli_xz.json")]) == 0
+    with_file = capsys.readouterr().out
+    assert run(args) == 0
+    assert capsys.readouterr().out == with_file
+    assert json.loads(with_file)["entropy_sum"] > 0.0
+
+
 def test_malformed_json_names_field(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dimension": 2, "observables": [{"name": "A", "bloch_axis": [1, 0]}]}')

@@ -21,7 +21,7 @@ from uqcr.bounds import SolverConfig, StateConstraint
 from uqcr.coherence import NotNormalized
 from uqcr.quantum import random_ket
 
-from helpers import prefix_majorized
+from helpers import fold_coherence_vector_mixed, prefix_majorized, random_orthonormal_basis
 
 Z = pauli_observable("z")
 XZ = [pauli_observable("x"), pauli_observable("z")]
@@ -55,7 +55,7 @@ def test_mixed_approx_of_pure_state_is_exact(rng):
 def test_incoherent_states_give_point_mass():
     for rho in (DensityMatrix.maximally_mixed(2), DensityMatrix(np.diag([0.7, 0.3]).astype(complex))):
         cv = coherence_vector_mixed_approx(rho, Z, CoherenceSampling(samples=16, seed=1))
-        assert np.allclose(cv.vector.entries, [1.0, 0.0], atol=1e-12)
+        assert cv.vector.entries.tolist() == [1.0, 0.0]
         assert cv.exactness == "approximate_lower"
 
 
@@ -65,6 +65,27 @@ def test_mixed_approx_monotone_in_samples(rng):
     small = coherence_vector_mixed_approx(rho, basis, CoherenceSampling(samples=8, seed=7))
     large = coherence_vector_mixed_approx(rho, basis, CoherenceSampling(samples=64, seed=7))
     assert prefix_majorized(small.vector, large.vector, tol=1e-10)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+def test_mixed_approx_matches_pairwise_fold(dim):
+    gen = np.random.default_rng(100 + dim)
+    rho = random_density(dim, dim, gen)
+    basis = random_orthonormal_basis(dim, gen)
+    for seed in (0, 5, 7):
+        for samples in (0, 8, 64, 256):
+            got = coherence_vector_mixed_approx(rho, basis, CoherenceSampling(samples, seed))
+            ref = fold_coherence_vector_mixed(rho, basis, samples, seed)
+            assert got.exactness == "approximate_lower"
+            assert np.allclose(
+                got.vector.prefix_sums(), ref.prefix_sums(), rtol=0.0, atol=1e-12
+            )
+
+
+def test_sampling_rejects_negative_fields():
+    for kwargs, field in (({"samples": -5}, "samples"), ({"seed": -1}, "seed")):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0"):
+            CoherenceSampling(**kwargs)
 
 
 def test_complementarity_two_paulis():

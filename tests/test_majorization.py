@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from uqcr import (
     from_unsorted,
     is_majorized_by,
     join,
+    join_all,
     lorenz,
     meet,
     meet_all,
@@ -24,6 +26,7 @@ from uqcr.majorization import (
     SumMismatch,
     SupportMismatch,
     TotalMismatch,
+    join_prefix_sums,
     least_concave_majorant,
 )
 
@@ -138,6 +141,28 @@ def test_join_needs_flattening():
 def test_join_idempotent():
     a = pv(0.5, 0.3, 0.2)
     assert np.allclose(join(a, a).entries, a.entries)
+
+
+def test_join_all_singleton_empty_and_bad_totals():
+    a = pv(0.5, 0.3, 0.2)
+    assert np.allclose(join_all([a]).entries, a.entries, rtol=0.0, atol=1e-15)
+    with pytest.raises(EmptySet):
+        join_all([])
+    with pytest.raises(TotalMismatch):
+        join_all([pv(0.7, 0.3), pv(1.2, 0.8, total=2.0)])
+    with pytest.raises(SumMismatch):
+        join_prefix_sums(np.array([[0.6, 1.0], [0.6, 1.1]]), 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_join_all_equals_left_fold(dim, count, seed):
+    gen = np.random.default_rng(seed)
+    vs = [random_probvector(gen, dim) for _ in range(count)]
+    folded = functools.reduce(join, vs)
+    assert np.allclose(
+        join_all(vs).prefix_sums(), folded.prefix_sums(), rtol=0.0, atol=1e-12
+    )
 
 
 def test_lcm_matches_brute_force(rng):
