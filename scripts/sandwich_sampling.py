@@ -38,13 +38,15 @@ def main():
     s, _ = supremum_s(observables, constraint)
 
     proj = np.concatenate([np.stack(obs.projectors) for obs in observables])
-    prefix = _Oracle(
+    oracle = _Oracle(
         proj, observables[0].dim, constraint, args.samples, np.random.default_rng(args.seed)
-    ).prefix
+    )
 
-    t_prefix, s_prefix = np.cumsum(t.entries), np.cumsum(s.entries)
-    lower_bad = int(np.sum(np.any(prefix < t_prefix[None, :] - args.tolerance, axis=1)))
-    upper_bad = int(np.sum(np.any(prefix > s_prefix[None, :] + args.tolerance, axis=1)))
+    t_prefix, s_prefix = np.cumsum(t.entries)[:, None], np.cumsum(s.entries)[:, None]
+    lower_bad = upper_bad = 0
+    for prefix in oracle.prefix_chunks():  # (L, chunk), one column per state
+        lower_bad += int(np.sum(np.any(prefix < t_prefix - args.tolerance, axis=0)))
+        upper_bad += int(np.sum(np.any(prefix > s_prefix + args.tolerance, axis=0)))
     print(f"config={args.config} samples={args.samples} tolerance={args.tolerance:g}")
     print(f"t = {np.array2string(t.entries, precision=6)}")
     print(f"s = {np.array2string(s.entries, precision=6)}")

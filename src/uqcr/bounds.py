@@ -11,8 +11,11 @@ all states, minimax duality turns each minimum into the largest
 multipliers of its last cutting-plane LP mix the cut eigenvectors into
 the primal state.  The level-n maximum is the largest eigenvalue over
 the C(L, n) subset operators (sums of n projectors split across the
-observables), which are enumerated exactly; flattening the maxima with
-the least concave majorant assembles the least upper bound ``s``.
+observables), which are enumerated exactly (up to ``CHOICE_BYTES_BUDGET``
+per level); flattening the maxima with the least concave majorant
+assembles the least upper bound ``s``.  A sampling oracle streams random
+admissible states in chunks, keeps each level's smallest top-n sum and
+its state, and seeds and checks every level minimum.
 """
 
 from __future__ import annotations
@@ -44,6 +47,14 @@ class LevelOutOfRange(UqcrError):
 
 class SolverDiverged(UqcrError):
     """Solver could not match the sampling oracle within tolerance."""
+
+
+class EnumerationTooLarge(UqcrError):
+    """One level's subset operators would exceed ``CHOICE_BYTES_BUDGET``."""
+
+
+# bytes the (C(L, n), n, d, d) gather of ``_choice_stack`` may take for one level
+CHOICE_BYTES_BUDGET = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -183,6 +194,23 @@ def _top_n_sum(probs: np.ndarray, n: int) -> np.ndarray:
     return np.partition(probs, -n, axis=-1)[..., -n:].sum(axis=-1)
 
 
+def check_choice_budget(observables, levels=None) -> None:
+    """Raise ``EnumerationTooLarge`` if some level's subset operators would
+    exceed ``CHOICE_BYTES_BUDGET`` (default: every level).
+
+    ``_choice_stack`` gathers C(L, n) * n complex d x d blocks for level n;
+    counting them takes no enumeration, so this can run before any solve.
+    """
+    dim, total = _check_observables(observables)
+    sizes = {n: math.comb(total, n) * n * dim * dim * 16 for n in levels or range(1, total)}
+    level = max(sizes, key=sizes.get, default=None)
+    if level is not None and sizes[level] > CHOICE_BYTES_BUDGET:
+        raise EnumerationTooLarge(
+            f"L={total} outcomes: level {level} needs {sizes[level]} bytes of subset "
+            f"operators, over the budget of {CHOICE_BYTES_BUDGET} bytes"
+        )
+
+
 def _choice_stack(observables, n: int) -> tuple[list, np.ndarray]:
     """Index sets and matrices of every level-n subset operator.
 
@@ -190,6 +218,7 @@ def _choice_stack(observables, n: int) -> tuple[list, np.ndarray]:
     C(L, n) for L total outcomes.  Order: splits (n_1..n_M) as
     ``_compositions`` yields them, then subsets lexicographically.
     """
+    check_choice_budget(observables, [n])
     counts = [obs.outcome_count for obs in observables]
     offsets = np.cumsum([0] + counts[:-1])
     sets = [
@@ -241,22 +270,40 @@ def top_n_sum(p: mj.ProbVector, n: int) -> float:
 # ---------------------------------------------------------------------------
 # admissible-state sampling (the oracle side of every solve)
 
-def _sample_states(dim: int, constraint: StateConstraint, count: int,
-                   rng: np.random.Generator) -> np.ndarray:
+def _sample_draws(dim: int, constraint: StateConstraint, count: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Raw draws of ``count`` admissible states, the sample along axis 0.
+
+    Ginibre factors G (rho = G G^dag / tr) over all states, unit kets
+    for pure states, Bloch vectors for a fixed Bloch norm.
+    """
     if constraint.kind == "all_states":
-        g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
-        mats = g @ np.conj(np.swapaxes(g, -1, -2))
-        tr = np.real(np.trace(mats, axis1=-2, axis2=-1))
-        return mats / tr[:, None, None]
+        # real then imaginary parts, filled in place to skip a complex temporary
+        g = np.empty((count, dim, dim), dtype=complex)
+        part = rng.standard_normal((count, dim, dim))
+        g.real = part
+        g.imag = rng.standard_normal((count, dim, dim), out=part)
+        return g
     if constraint.kind == "pure_only":
         kets = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
         kets /= np.linalg.norm(kets, axis=1)[:, None]
-        return kets[:, :, None] * kets[:, None, :].conj()
+        return kets
     if dim != 2:
         raise WrongDimension("fixed_bloch_norm is defined for dimension 2 only")
     dirs = rng.standard_normal((count, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    return _bloch_batch(constraint.r * dirs)
+    return constraint.r * dirs
+
+
+def _density_batch(draws: np.ndarray, constraint: StateConstraint) -> np.ndarray:
+    """Density matrices of a batch of draws from ``_sample_draws``."""
+    if constraint.kind == "all_states":
+        mats = draws @ np.conj(np.swapaxes(draws, -1, -2))
+        tr = np.real(np.trace(mats, axis1=-2, axis2=-1))
+        return mats / tr[:, None, None]
+    if constraint.kind == "pure_only":
+        return draws[:, :, None] * draws[:, None, :].conj()
+    return _bloch_batch(draws)
 
 
 def _bloch_batch(rs: np.ndarray) -> np.ndarray:
@@ -278,21 +325,79 @@ def _constrain_state(state: np.ndarray, constraint: StateConstraint) -> np.ndarr
     return _bloch_batch((constraint.r * direction)[None])[0]
 
 
+# samples per oracle chunk: one GEMM amortises its call overhead while the
+# chunk's tables stay a few MB whatever the sample count
+_ORACLE_CHUNK = 4096
+
+
 class _Oracle:
-    """Sampled admissible states with their sorted prefix sums."""
+    """Per-level minima of the top-n sum over sampled admissible states.
+
+    Keeps only the raw draws as ``states`` (see ``_sample_draws``) and,
+    per level, the smallest prefix sum of the sorted Born probabilities
+    and the sample that reached it; a tie goes to the earlier sample.
+    The draws are walked in chunks of ``_ORACLE_CHUNK``.  With W_k the
+    orthonormal rows of Pi_k (Pi_k = W_k^dag W_k), the Born probability
+    of rho = G G^dag / |G|^2 is |W_k G|^2 / |G|^2: one real GEMM per
+    chunk with the samples along the columns.  A pure ket is G with one
+    column; fixed-norm qubit states go through ``_born``.
+    """
 
     def __init__(self, proj_stack: np.ndarray, dim: int, constraint: StateConstraint,
                  count: int, rng: np.random.Generator):
-        self.states = _sample_states(dim, constraint, count, rng)
-        probs = _born(self.states, proj_stack)
-        np.clip(probs, 0.0, 1.0, out=probs)
-        probs.sort(axis=1)
-        self.prefix = np.cumsum(probs[:, ::-1], axis=1)
+        self.states = _sample_draws(dim, constraint, count, rng)
+        self._constraint = constraint
+        self._proj = proj_stack
+        blocks = []
+        for p in proj_stack:
+            w, v = np.linalg.eigh(p)
+            rows = v[:, w > 0.5].conj().T
+            blocks.append(np.block([[rows.real, -rows.imag], [rows.imag, rows.real]]))
+        # real form of the stacked W_k: its rows give [Re W_k g; Im W_k g] per
+        # projector; ``_owner`` sums each projector's squared rows
+        self._factors = np.concatenate(blocks)
+        self._owner = np.repeat(np.eye(len(blocks)), [len(b) for b in blocks], axis=1)
+        levels = proj_stack.shape[0]
+        self._minima = np.full(levels, np.inf)
+        self._argmin = np.zeros(levels, dtype=int)
+        for start, prefix in zip(range(0, count, _ORACLE_CHUNK), self.prefix_chunks()):
+            idx = prefix.argmin(axis=1)
+            vals = prefix[np.arange(levels), idx]
+            better = vals < self._minima
+            self._minima[better] = vals[better]
+            self._argmin[better] = idx[better] + start
+
+    def prefix_chunks(self):
+        """Prefix sums of the sorted Born probabilities, one (L, chunk) array per chunk."""
+        for start in range(0, self.states.shape[0], _ORACLE_CHUNK):
+            draws = self.states[start:start + _ORACLE_CHUNK]
+            if self._constraint.kind == "fixed_bloch_norm":
+                probs = _born(_bloch_batch(draws), self._proj)
+            else:
+                g = draws.reshape(draws.shape[0], draws.shape[1], -1)  # a ket is one column
+                size, dim, cols = g.shape
+                # columns of every G in the chunk, real parts over imaginary parts
+                parts = np.empty((2, dim, cols, size))
+                parts[0] = g.real.transpose(1, 2, 0)
+                parts[1] = g.imag.transpose(1, 2, 0)
+                sq = parts.reshape(2 * dim, cols * size).T @ self._factors.T
+                sq *= sq
+                probs = sq.reshape(cols, size, -1).sum(axis=0) @ self._owner.T
+                probs /= np.square(parts).reshape(-1, size).sum(axis=0)[:, None]
+            np.clip(probs, 0.0, 1.0, out=probs)
+            probs.sort(axis=1)
+            # row n-1 holds the top-n sums; row by row, as fast as cumsum is slow here
+            desc = probs.T[::-1]
+            prefix = np.empty(desc.shape)
+            prefix[0] = desc[0]
+            for n in range(1, len(desc)):
+                np.add(prefix[n - 1], desc[n], out=prefix[n])
+            yield prefix
 
     def min_at(self, level: int) -> tuple[float, np.ndarray]:
-        col = self.prefix[:, level - 1]
-        idx = int(col.argmin())
-        return float(col[idx]), self.states[idx]
+        idx = int(self._argmin[level - 1])
+        state = _density_batch(self.states[idx:idx + 1], self._constraint)[0]
+        return float(self._minima[level - 1]), state
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +715,7 @@ def supremum_s(observables,
     """
     observables = list(observables)
     _, total_outcomes = _check_observables(observables)
+    check_choice_budget(observables)
     n_obs = len(observables)
     certificates = []
     maxima = [0.0]

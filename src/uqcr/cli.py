@@ -279,7 +279,12 @@ def _bounds_from_file(path: str):
     for key in ("t", "s", "total", "constraint", "observables", "dimension"):
         if key not in doc:
             raise InputError(f"{path}: missing field {key!r}")
-    total = float(doc["total"])
+    total = doc["total"]
+    if isinstance(total, bool) or not isinstance(total, (int, float)):
+        raise InputError(f"{path}.total: expected a number")
+    total = float(total)
+    if not isinstance(doc["observables"], list) or not doc["observables"]:
+        raise InputError(f"{path}.observables: expected a non-empty list")
     try:
         t = mj.ProbVector(np.array(doc["t"], dtype=float), total)
         s = mj.ProbVector(np.array(doc["s"], dtype=float), total)
@@ -289,13 +294,15 @@ def _bounds_from_file(path: str):
     observables = []
     for i, entry in enumerate(doc["observables"]):
         field = f"{path}.observables[{i}]"
+        if not isinstance(entry, dict):
+            raise InputError(f"{field}: expected an object")
         try:
             mats = [
                 _json_to_matrix(m, f"{field}.projectors[{j}]")
                 for j, m in enumerate(entry["projectors"])
             ]
             observables.append(ProjectiveObservable(tuple(mats), entry.get("name", "")))
-        except (KeyError, ValueError, UqcrError) as exc:
+        except (KeyError, TypeError, ValueError, UqcrError) as exc:
             if isinstance(exc, InputError):
                 raise
             raise InputError(f"{field}: {exc}") from None
@@ -361,6 +368,10 @@ def cmd_bounds(args) -> int:
     except ValueError as exc:
         field = str(exc).split()[0]
         raise InputError(f"--{field.replace('_', '-')}: {exc}") from None
+    try:
+        bd.check_choice_budget(observables)
+    except bd.EnumerationTooLarge as exc:
+        raise InputError(f"--observables: {exc}") from None
     t, t_certs = bd.infimum_t(observables, constraint, cfg)
     s, s_certs = bd.supremum_s(observables, constraint)
     doc = {

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,12 +27,16 @@ from uqcr.bounds import (
     LevelOutOfRange,
     SolverConfig,
     StateConstraint,
+    _ORACLE_CHUNK,
+    _Oracle,
     _kelley_dual_bound,
+    _projector_stack,
     planar_triple_observables,
 )
 
 from helpers import (
     coarse_grained_basis,
+    full_table_oracle,
     kelley_choice_dual,
     prefix_majorized,
     random_orthonormal_basis,
@@ -373,3 +378,40 @@ def test_solver_config_defaults():
     assert cfg.multistarts == 64
     assert cfg.tol == 1e-7
     assert cfg.oracle_samples == 100_000
+
+
+# ---------------------------------------------------------------------------
+# sampling oracle
+
+@pytest.mark.parametrize("observables, constraint", [
+    (standard_mub_set(3), StateConstraint.all_states()),
+    (standard_mub_set(3), StateConstraint.pure_only()),
+    (standard_mub_set(2), StateConstraint.fixed_bloch_norm(0.5)),
+])
+@pytest.mark.parametrize("count", [1, _ORACLE_CHUNK - 1, _ORACLE_CHUNK + 1, 2 * _ORACLE_CHUNK + 123])
+def test_streamed_oracle_matches_full_tables(observables, constraint, count):
+    proj = _projector_stack(observables)
+    oracle = _Oracle(proj, observables[0].dim, constraint, count, np.random.default_rng(9))
+    minima, states = full_table_oracle(observables, constraint, count, 9)
+    assert oracle.states.shape[0] == count
+    for n in range(1, len(proj)):  # the solver's levels
+        value, state = oracle.min_at(n)
+        assert value == pytest.approx(minima[n - 1], abs=1e-14)
+        assert np.array_equal(state, states[n - 1])
+
+
+def test_oracle_memory_is_the_draws():
+    # the oracle keeps its raw draws and per-level minima, no density or
+    # prefix tables; building a 100k-sample d=6 oracle peaks at 1.5x the draws
+    rng = np.random.default_rng(4)
+    proj = _projector_stack([random_orthonormal_basis(6, rng) for _ in range(3)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        oracle = _Oracle(proj, 6, StateConstraint.all_states(), 100_000, np.random.default_rng(0))
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = oracle.states.nbytes
+    assert peak - before <= 2.5 * nbytes
+    assert current - before <= nbytes + 2**20

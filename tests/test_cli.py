@@ -277,6 +277,58 @@ def test_bad_solver_flag_is_input_error(tmp_path, capsys, flag, value, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("total", "two"),
+    ("total", [2.0]),
+    ("observables", {"name": "X"}),
+    ("observables", "pauli_xz"),
+    ("observables[0]", 5),
+    ("observables[0]", {"name": "X", "projectors": 5}),
+])
+def test_malformed_bounds_file_names_field(tmp_path, xz_bounds_file, capsys, field, value):
+    doc = json.loads(xz_bounds_file.read_text())
+    if field == "observables[0]":
+        doc["observables"][0] = value
+    else:
+        doc[field] = value
+    bad = tmp_path / "bad_bounds.json"
+    bad.write_text(json.dumps(doc))
+    state = config("states/maximally_mixed_d2.json")
+    for argv in (
+        ["verify", "--state", state, "--bounds", str(bad)],
+        ["lorenz", "--bounds", str(bad), "--csv", str(tmp_path / "l.csv")],
+        ["entropy", "--state", state, "--bounds", str(bad)],
+    ):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: {bad}.{field}: " in err
+        assert "Traceback" not in err
+
+
+def test_choice_budget_rejects_before_solving(tmp_path, capsys, monkeypatch):
+    # 10 random bases in d=6: L=60, and level 30 alone would need
+    # C(60, 30) * 30 subset-operator blocks of 6x6 complex entries
+    from uqcr import bounds
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the size guard must fire before t is solved")
+
+    monkeypatch.setattr(bounds, "infimum_t", no_solve)
+    rng = np.random.default_rng(60)
+    entries = []
+    for i in range(10):
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        entries.append({"name": f"b{i}", "basis": [[[z.real, z.imag] for z in row] for row in q.T]})
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps({"dimension": 6, "observables": entries}))
+    out = tmp_path / "o.json"
+    assert run(["bounds", "--observables", str(obs), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    need = math.comb(60, 30) * 30 * 6 * 6 * 16
+    assert f"error: --observables: L=60 outcomes: level 30 needs {need} bytes" in err
+    assert not out.exists()
+
+
 def test_invalid_json_syntax(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
