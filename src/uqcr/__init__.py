@@ -47,7 +47,6 @@ from .certainty import (
     CertaintyReport,
     certify_state,
     entropic_certainty_bound,
-    sanchez_consistency_check,
     state_direct_sum_pdv,
 )
 from .coherence import (

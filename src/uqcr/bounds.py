@@ -13,9 +13,10 @@ the primal state.  The level-n maximum is the largest eigenvalue over
 the C(L, n) subset operators (sums of n projectors split across the
 observables), which are enumerated exactly (up to ``CHOICE_BYTES_BUDGET``
 per level); flattening the maxima with the least concave majorant
-assembles the least upper bound ``s``.  A sampling oracle streams random
-admissible states in chunks, keeps each level's smallest top-n sum and
-its state, and seeds and checks every level minimum.
+assembles the least upper bound ``s``.  Pure and fixed-norm minima have
+no such certificate: there a sampling oracle streams random admissible
+states in chunks, keeps each level's smallest top-n sum and its state,
+and seeds and checks every local minimum.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class LevelOutOfRange(UqcrError):
 
 
 class SolverDiverged(UqcrError):
-    """Solver could not match the sampling oracle within tolerance."""
+    """A pure or fixed-norm level minimum exceeds the sampling oracle's by more than tol."""
 
 
 class EnumerationTooLarge(UqcrError):
@@ -62,9 +63,9 @@ class SolverConfig:
     """Knobs for the min-max solver; all runs are deterministic per seed."""
 
     max_iter: int = 80  # cutting-plane LPs per level over all states
-    multistarts: int = 64
+    multistarts: int = 64  # pure and fixed-norm states only
     tol: float = 1e-7
-    oracle_samples: int = 100_000
+    oracle_samples: int = 100_000  # pure and fixed-norm states only
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -115,8 +116,10 @@ class SolverDiagnostics:
 
     ``iterations``: LP solves over all states, Nelder-Mead evaluations
     otherwise.  ``multistart_index``: over all states 0 is the maximally
-    mixed state, 1 the oracle's best state, 2 the LP-multiplier state;
-    otherwise the winning Nelder-Mead start.
+    mixed state, 1 the LP-multiplier state; otherwise the winning
+    Nelder-Mead start.  ``residual`` is the solver value less
+    ``oracle_min``, the sampling oracle's minimum; over all states no
+    oracle runs, so they are 0.0 and None, as on max certificates.
     """
 
     iterations: int
@@ -268,22 +271,14 @@ def top_n_sum(p: mj.ProbVector, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# admissible-state sampling (the oracle side of every solve)
+# pure and fixed-norm state sampling (the oracle side of those solves)
 
 def _sample_draws(dim: int, constraint: StateConstraint, count: int,
                   rng: np.random.Generator) -> np.ndarray:
-    """Raw draws of ``count`` admissible states, the sample along axis 0.
+    """Raw draws of ``count`` pure or fixed-norm states, the sample along axis 0.
 
-    Ginibre factors G (rho = G G^dag / tr) over all states, unit kets
-    for pure states, Bloch vectors for a fixed Bloch norm.
+    Unit kets for pure states, Bloch vectors for a fixed Bloch norm.
     """
-    if constraint.kind == "all_states":
-        # real then imaginary parts, filled in place to skip a complex temporary
-        g = np.empty((count, dim, dim), dtype=complex)
-        part = rng.standard_normal((count, dim, dim))
-        g.real = part
-        g.imag = rng.standard_normal((count, dim, dim), out=part)
-        return g
     if constraint.kind == "pure_only":
         kets = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
         kets /= np.linalg.norm(kets, axis=1)[:, None]
@@ -297,10 +292,6 @@ def _sample_draws(dim: int, constraint: StateConstraint, count: int,
 
 def _density_batch(draws: np.ndarray, constraint: StateConstraint) -> np.ndarray:
     """Density matrices of a batch of draws from ``_sample_draws``."""
-    if constraint.kind == "all_states":
-        mats = draws @ np.conj(np.swapaxes(draws, -1, -2))
-        tr = np.real(np.trace(mats, axis1=-2, axis2=-1))
-        return mats / tr[:, None, None]
     if constraint.kind == "pure_only":
         return draws[:, :, None] * draws[:, None, :].conj()
     return _bloch_batch(draws)
@@ -331,16 +322,17 @@ _ORACLE_CHUNK = 4096
 
 
 class _Oracle:
-    """Per-level minima of the top-n sum over sampled admissible states.
+    """Per-level minima of the top-n sum over sampled pure or fixed-norm states.
 
     Keeps only the raw draws as ``states`` (see ``_sample_draws``) and,
     per level, the smallest prefix sum of the sorted Born probabilities
     and the sample that reached it; a tie goes to the earlier sample.
     The draws are walked in chunks of ``_ORACLE_CHUNK``.  With W_k the
     orthonormal rows of Pi_k (Pi_k = W_k^dag W_k), the Born probability
-    of rho = G G^dag / |G|^2 is |W_k G|^2 / |G|^2: one real GEMM per
-    chunk with the samples along the columns.  A pure ket is G with one
-    column; fixed-norm qubit states go through ``_born``.
+    of a ket g is |W_k g|^2 / |g|^2: one real GEMM per chunk with the
+    kets along the columns.  Fixed-norm qubit states go through
+    ``_born``.  Hilbert-Schmidt states, partial traces of Haar kets on
+    C^d (x) C^d, come from the pure oracle of the projectors Pi_k (x) I.
     """
 
     def __init__(self, proj_stack: np.ndarray, dim: int, constraint: StateConstraint,
@@ -374,15 +366,14 @@ class _Oracle:
             if self._constraint.kind == "fixed_bloch_norm":
                 probs = _born(_bloch_batch(draws), self._proj)
             else:
-                g = draws.reshape(draws.shape[0], draws.shape[1], -1)  # a ket is one column
-                size, dim, cols = g.shape
-                # columns of every G in the chunk, real parts over imaginary parts
-                parts = np.empty((2, dim, cols, size))
-                parts[0] = g.real.transpose(1, 2, 0)
-                parts[1] = g.imag.transpose(1, 2, 0)
-                sq = parts.reshape(2 * dim, cols * size).T @ self._factors.T
+                size, dim = draws.shape
+                # one column per ket, real parts over imaginary parts
+                parts = np.empty((2, dim, size))
+                parts[0] = draws.real.T
+                parts[1] = draws.imag.T
+                sq = parts.reshape(2 * dim, size).T @ self._factors.T
                 sq *= sq
-                probs = sq.reshape(cols, size, -1).sum(axis=0) @ self._owner.T
+                probs = sq @ self._owner.T
                 probs /= np.square(parts).reshape(-1, size).sum(axis=0)[:, None]
             np.clip(probs, 0.0, 1.0, out=probs)
             probs.sort(axis=1)
@@ -466,21 +457,19 @@ def _kelley_dual_bound(proj: np.ndarray, n: int, target: float, max_lps: int,
     return best, state, lps
 
 
-def _min_level_all_states(proj: np.ndarray, n: int, cfg: SolverConfig,
-                          oracle_state: np.ndarray):
+def _min_level_all_states(proj: np.ndarray, n: int, cfg: SolverConfig):
     """Level minimum over all density matrices, primal and certified dual.
 
-    Candidates: the maximally mixed state (start index 0), the oracle's
-    best state (1) and the Kelley LP-multiplier state (2); the smallest
-    top-n sum wins.  Kelley's target is the better of the first two less
-    the gap tolerance.  Returns primal value, certified lower bound,
-    state, LP solves, start index.
+    Candidates: the maximally mixed state (start index 0) and the Kelley
+    LP-multiplier state (1); the smaller top-n sum wins.  Kelley's target
+    is the mixed state's value less the gap tolerance.  Returns primal
+    value, certified lower bound, state, LP solves, start index.
     """
     dim = proj.shape[-1]
     gap_tol = max(1e-12, min(cfg.tol, 1e-9))
-    states = [np.eye(dim, dtype=complex) / dim, oracle_state]
-    values = list(_top_n_sum(_born(np.stack(states), proj), n))
-    f_lb, lp_state, lps = _kelley_dual_bound(proj, n, min(values) - gap_tol, cfg.max_iter)
+    states = [np.eye(dim, dtype=complex) / dim]
+    values = list(_top_n_sum(_born(states[0][None], proj), n))
+    f_lb, lp_state, lps = _kelley_dual_bound(proj, n, values[0] - gap_tol, cfg.max_iter)
     if lp_state is not None:
         states.append(lp_state)
         values.append(_top_n_sum(_born(lp_state[None], proj), n)[0])
@@ -587,24 +576,28 @@ def _min_level_pure_ket(proj, n, cfg, rng, oracle_state):
 
 
 def _solve_min_level(observables, proj, n, constraint, cfg, rng, oracle):
-    oracle_min, oracle_state = oracle.min_at(n)
     if constraint.kind == "all_states":
-        solve = _min_level_all_states(proj, n, cfg, oracle_state)
-    # pure and fixed-norm states: multistart Nelder-Mead on a chart
-    elif constraint.kind == "fixed_bloch_norm" or proj.shape[-1] == 2:
-        radius = 1.0 if constraint.kind == "pure_only" else float(constraint.r)
-        solve = _min_level_bloch_sphere(proj, n, radius, cfg, rng, oracle_state)
+        # minimax duality certifies the level, so no oracle checks it
+        value, dual, state, iters, start = _min_level_all_states(proj, n, cfg)
+        residual, oracle_min = 0.0, None
     else:
-        solve = _min_level_pure_ket(proj, n, cfg, rng, oracle_state)
-    value, dual, state, iters, start = solve
-    residual = value - oracle_min
-    if residual > cfg.tol:
-        raise SolverDiverged(
-            f"level {n}: solver value {value!r} exceeds oracle minimum "
-            f"{oracle_min!r} by more than tol={cfg.tol!r}"
-        )
-    if oracle_min < value:
-        value, state = oracle_min, oracle_state
+        # pure and fixed-norm states: multistart Nelder-Mead on a chart,
+        # seeded and checked by the oracle
+        oracle_min, oracle_state = oracle.min_at(n)
+        if constraint.kind == "fixed_bloch_norm" or proj.shape[-1] == 2:
+            radius = 1.0 if constraint.kind == "pure_only" else float(constraint.r)
+            solve = _min_level_bloch_sphere(proj, n, radius, cfg, rng, oracle_state)
+        else:
+            solve = _min_level_pure_ket(proj, n, cfg, rng, oracle_state)
+        value, dual, state, iters, start = solve
+        residual = value - oracle_min
+        if residual > cfg.tol:
+            raise SolverDiverged(
+                f"level {n}: solver value {value!r} exceeds oracle minimum "
+                f"{oracle_min!r} by more than tol={cfg.tol!r}"
+            )
+        if oracle_min < value:
+            value, state = oracle_min, oracle_state
     # assembly uses the certified side: the dual bound never exceeds the
     # true minimum, so envelopes built from it stay valid lower bounds;
     # pure and fixed-norm levels have no dual and use the local minimum
@@ -614,7 +607,7 @@ def _solve_min_level(observables, proj, n, constraint, cfg, rng, oracle):
         multistart_index=start,
         residual=float(residual),
         dual_gap=float(value - dual) if np.isfinite(dual) else None,
-        oracle_min=float(oracle_min),
+        oracle_min=oracle_min,
     )
     cert = BoundCertificate(
         level=n,
@@ -629,15 +622,18 @@ def _solve_min_level(observables, proj, n, constraint, cfg, rng, oracle):
 
 def _min_levels(observables, levels, constraint: StateConstraint, cfg: SolverConfig,
                 entropy: tuple) -> list[tuple[BoundCertificate, float]]:
-    """Certificate and assembly value per level, all against one oracle.
+    """Certificate and assembly value per level.
 
-    ``entropy`` seeds the oracle stream and one solver stream per level.
+    ``entropy`` seeds the oracle stream and one solver stream per level;
+    only pure and fixed-norm states draw from them.
     """
     proj = _projector_stack(observables)
     rng_oracle, *rng_levels = (
         np.random.default_rng(s) for s in np.random.SeedSequence(entropy).spawn(len(levels) + 1)
     )
-    oracle = _Oracle(proj, observables[0].dim, constraint, cfg.oracle_samples, rng_oracle)
+    oracle = None
+    if constraint.kind != "all_states":
+        oracle = _Oracle(proj, observables[0].dim, constraint, cfg.oracle_samples, rng_oracle)
     return [
         _solve_min_level(observables, proj, n, constraint, cfg, rng, oracle)
         for n, rng in zip(levels, rng_levels)

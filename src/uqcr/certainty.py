@@ -7,18 +7,10 @@ D(P||t) (probability-weighted) tightens the cap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from . import bounds as bd
 from . import majorization as mj
-from .quantum import (
-    DensityMatrix,
-    DimensionMismatch,
-    born_probabilities,
-    is_mub_pair,
-    standard_mub_set,
-)
+from .quantum import DensityMatrix, DimensionMismatch, born_probabilities
 
 
 @dataclass(frozen=True)
@@ -91,37 +83,3 @@ def certify_state(observables, rho: DensityMatrix, bounds_pair,
 def entropic_certainty_bound(t: mj.ProbVector, unit: str = "bits") -> float:
     """Shannon entropy of the lower envelope: the certainty cap."""
     return mj.shannon_entropy(t, unit)
-
-
-def _binary_entropy_bits(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
-def sanchez_consistency_check(observables=None,
-                              constraint: bd.StateConstraint | None = None,
-                              cfg: bd.SolverConfig = bd.SolverConfig()):
-    """Check the level-1 certificate of the qubit MUB triple against the
-    known entropy cap 3 h(1/2 + 1/(2 sqrt 3)).
-
-    Returns True/False for the qubit three-MUB pure-state configuration
-    and None (skipped) for anything else.
-    """
-    if observables is None:
-        observables = standard_mub_set(2)
-    if constraint is None:
-        constraint = bd.StateConstraint.pure_only()
-    observables = list(observables)
-    if constraint.kind != "pure_only":
-        return None
-    if len(observables) != 3 or any(obs.dim != 2 for obs in observables):
-        return None
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not is_mub_pair(observables[i], observables[j], tol=1e-9):
-                return None
-    cert = bd.min_topn_over_states(observables, 1, constraint, cfg)
-    pdv = state_direct_sum_pdv(observables, cert.achieving_state)
-    target = 3.0 * _binary_entropy_bits(0.5 + 0.5 / math.sqrt(3.0))
-    return bool(abs(mj.shannon_entropy(pdv, "bits") - target) <= 1e-6)

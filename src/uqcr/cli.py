@@ -9,6 +9,7 @@ violation.  All file writes go through write-temp-then-rename.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -162,7 +163,7 @@ def parse_observable_file(doc: dict, origin: str = "observables"):
                     for j, m in enumerate(entry["projectors"])
                 ]
                 obs = ProjectiveObservable(tuple(mats), name)
-        except (ValueError, UqcrError) as exc:
+        except (TypeError, ValueError, UqcrError) as exc:
             if isinstance(exc, InputError):
                 raise
             raise InputError(f"{field}: {exc}") from None
@@ -200,7 +201,10 @@ def parse_state_file(doc: dict, dim: int, origin: str = "state") -> DensityMatri
             raise InputError(f"{origin}.bloch: only valid in dimension 2")
         vec = _real_vector(doc["bloch"], f"{origin}.bloch", 3)
         if "norm" in doc:
-            norm = float(doc["norm"])
+            norm = doc["norm"]
+            if isinstance(norm, bool) or not isinstance(norm, (int, float)):
+                raise InputError(f"{origin}.norm: expected a number")
+            norm = float(norm)
             if not np.isfinite(norm):
                 raise InputError(f"{origin}.norm: must be finite")
             length = np.linalg.norm(vec)
@@ -243,7 +247,6 @@ def _probvector_to_json(p: mj.ProbVector) -> list:
 
 
 def _certificate_to_json(cert: bd.BoundCertificate) -> dict:
-    diag = cert.diagnostics
     return {
         "level": cert.level,
         "kind": cert.bound_kind,
@@ -253,18 +256,8 @@ def _certificate_to_json(cert: bd.BoundCertificate) -> dict:
             "level": cert.achieving_choice.level,
             "index_sets": [list(s) for s in cert.achieving_choice.index_sets],
         },
-        "diagnostics": {
-            "iterations": diag.iterations,
-            "multistart_index": diag.multistart_index,
-            "residual": diag.residual,
-            "dual_gap": diag.dual_gap,
-            "oracle_min": diag.oracle_min,
-        },
+        "diagnostics": dataclasses.asdict(cert.diagnostics),
     }
-
-
-def _constraint_to_json(c: bd.StateConstraint) -> dict:
-    return {"kind": c.kind, "r": c.r}
 
 
 def _constraint_from_json(doc, field: str) -> bd.StateConstraint:
@@ -283,29 +276,13 @@ def _bounds_from_file(path: str):
     if isinstance(total, bool) or not isinstance(total, (int, float)):
         raise InputError(f"{path}.total: expected a number")
     total = float(total)
-    if not isinstance(doc["observables"], list) or not doc["observables"]:
-        raise InputError(f"{path}.observables: expected a non-empty list")
+    _, observables = parse_observable_file(doc, path)
     try:
         t = mj.ProbVector(np.array(doc["t"], dtype=float), total)
         s = mj.ProbVector(np.array(doc["s"], dtype=float), total)
     except (ValueError, UqcrError) as exc:
         raise InputError(f"{path}: t/s: {exc}") from None
     constraint = _constraint_from_json(doc["constraint"], f"{path}.constraint")
-    observables = []
-    for i, entry in enumerate(doc["observables"]):
-        field = f"{path}.observables[{i}]"
-        if not isinstance(entry, dict):
-            raise InputError(f"{field}: expected an object")
-        try:
-            mats = [
-                _json_to_matrix(m, f"{field}.projectors[{j}]")
-                for j, m in enumerate(entry["projectors"])
-            ]
-            observables.append(ProjectiveObservable(tuple(mats), entry.get("name", "")))
-        except (KeyError, TypeError, ValueError, UqcrError) as exc:
-            if isinstance(exc, InputError):
-                raise
-            raise InputError(f"{field}: {exc}") from None
     return doc, t, s, constraint, observables
 
 
@@ -381,14 +358,8 @@ def cmd_bounds(args) -> int:
             {"name": obs.name, "projectors": [_matrix_to_json(p) for p in obs.projectors]}
             for obs in observables
         ],
-        "constraint": _constraint_to_json(constraint),
-        "solver_config": {
-            "max_iter": cfg.max_iter,
-            "multistarts": cfg.multistarts,
-            "tol": cfg.tol,
-            "oracle_samples": cfg.oracle_samples,
-            "seed": cfg.seed,
-        },
+        "constraint": dataclasses.asdict(constraint),
+        "solver_config": dataclasses.asdict(cfg),
         "total": t.total,
         "t": _probvector_to_json(t),
         "s": _probvector_to_json(s),
@@ -515,11 +486,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--observables", required=True)
     p_bounds.add_argument("--constraint", default="all", help="all | pure | bloch=R")
     p_bounds.add_argument("--seed", type=int, default=None)
-    p_bounds.add_argument("--multistarts", type=int, default=64)
+    p_bounds.add_argument("--multistarts", type=int, default=64,
+                          help="Nelder-Mead starts per level, pure and fixed-norm states only")
     p_bounds.add_argument("--max-iter", type=int, default=80,
                           help="cutting-plane LPs per level over all states")
     p_bounds.add_argument("--tol", type=float, default=1e-7)
-    p_bounds.add_argument("--oracle-samples", type=int, default=100_000)
+    p_bounds.add_argument("--oracle-samples", type=int, default=100_000,
+                          help="sampled states checking each level, pure and fixed-norm states only")
     p_bounds.add_argument("--out", required=True)
     p_bounds.set_defaults(func=cmd_bounds)
 

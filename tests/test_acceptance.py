@@ -20,7 +20,6 @@ from uqcr import (
     meet_all,
     pauli_observable,
     qubit_planar_triple_t,
-    sanchez_consistency_check,
     shannon_entropy,
     standard_mub_set,
     supremum_s,
@@ -37,6 +36,7 @@ from helpers import (
     random_probvector,
     sample_mixed_states,
     sample_pure_states,
+    sanchez_consistency_check,
     sorted_prefix_matrix,
 )
 

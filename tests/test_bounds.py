@@ -334,7 +334,32 @@ def test_lp_multiplier_state_closes_the_gap():
         probs = np.real(np.einsum("kij,ji->k", proj, cert.achieving_state.matrix))
         assert cert.value == pytest.approx(np.sort(probs)[-cert.level:].sum(), abs=1e-12)
         assert cert.diagnostics.dual_gap <= 1e-6
-    assert any(c.diagnostics.multistart_index == 2 for c in certs)
+    assert any(c.diagnostics.multistart_index == 1 for c in certs)
+
+
+def test_all_states_levels_need_no_oracle(monkeypatch):
+    # minimax duality certifies every all-states level, so no states are
+    # sampled and the seed and sample count cannot change the result
+    from uqcr import bounds
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("all-states levels must not build the sampling oracle")
+
+    monkeypatch.setattr(bounds, "_Oracle", no_oracle)
+    obs = coarse_and_fine_qutrit()
+    runs = [
+        infimum_t(obs, StateConstraint.all_states(), cfg)
+        for cfg in (SolverConfig(seed=0, oracle_samples=1), SolverConfig(seed=7))
+    ]
+    (t1, certs1), (t2, certs2) = runs
+    assert np.array_equal(t1.entries, t2.entries)
+    for c1, c2 in zip(certs1, certs2, strict=True):
+        assert c1.value == c2.value
+        assert np.array_equal(c1.achieving_state.matrix, c2.achieving_state.matrix)
+        assert c1.achieving_choice.index_sets == c2.achieving_choice.index_sets
+        assert c1.diagnostics == c2.diagnostics
+        assert c1.diagnostics.residual == 0.0
+        assert c1.diagnostics.oracle_min is None
 
 
 def test_qutrit_mub_set_envelopes(rng):
@@ -391,24 +416,39 @@ def test_solver_config_defaults():
 @pytest.mark.parametrize("count", [1, _ORACLE_CHUNK - 1, _ORACLE_CHUNK + 1, 2 * _ORACLE_CHUNK + 123])
 def test_streamed_oracle_matches_full_tables(observables, constraint, count):
     proj = _projector_stack(observables)
-    oracle = _Oracle(proj, observables[0].dim, constraint, count, np.random.default_rng(9))
+    dim = observables[0].dim
+    purified = constraint.kind == "all_states"
+    if purified:
+        # as scripts/sandwich_sampling.py samples all states: the partial
+        # trace of a Haar ket on C^d (x) C^d, drawn from the same normals
+        # as the reference's Ginibre factors
+        oracle = _Oracle(np.kron(proj, np.eye(dim)), dim * dim, StateConstraint.pure_only(),
+                         count, np.random.default_rng(9))
+    else:
+        oracle = _Oracle(proj, dim, constraint, count, np.random.default_rng(9))
     minima, states = full_table_oracle(observables, constraint, count, 9)
     assert oracle.states.shape[0] == count
     for n in range(1, len(proj)):  # the solver's levels
         value, state = oracle.min_at(n)
         assert value == pytest.approx(minima[n - 1], abs=1e-14)
-        assert np.array_equal(state, states[n - 1])
+        if purified:
+            reduced = np.trace(state.reshape(dim, dim, dim, dim), axis1=1, axis2=3)
+            assert np.max(np.abs(reduced - states[n - 1])) <= 1e-14
+        else:
+            assert np.array_equal(state, states[n - 1])
 
 
 def test_oracle_memory_is_the_draws():
     # the oracle keeps its raw draws and per-level minima, no density or
-    # prefix tables; building a 100k-sample d=6 oracle peaks at 1.5x the draws
+    # prefix tables; a 100k-sample oracle of purified d=6 states (kets in
+    # d=36) peaks at about 2x the draws
     rng = np.random.default_rng(4)
     proj = _projector_stack([random_orthonormal_basis(6, rng) for _ in range(3)])
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        oracle = _Oracle(proj, 6, StateConstraint.all_states(), 100_000, np.random.default_rng(0))
+        oracle = _Oracle(np.kron(proj, np.eye(6)), 36, StateConstraint.pure_only(), 100_000,
+                         np.random.default_rng(0))
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

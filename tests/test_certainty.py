@@ -13,7 +13,6 @@ from uqcr import (
     pauli_observable,
     qubit_mub_t,
     random_density,
-    sanchez_consistency_check,
     shannon_entropy,
     standard_mub_set,
     state_direct_sum_pdv,
@@ -21,6 +20,8 @@ from uqcr import (
 )
 from uqcr.bounds import SolverConfig, StateConstraint
 from uqcr.quantum import DimensionMismatch
+
+from helpers import sanchez_consistency_check
 
 XZ = [pauli_observable("x"), pauli_observable("z")]
 FAST = SolverConfig(seed=9, oracle_samples=20_000)

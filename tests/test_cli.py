@@ -196,12 +196,17 @@ def test_observables_default_to_bounds_file(xz_bounds_file, capsys, command):
     assert json.loads(with_file)["entropy_sum"] > 0.0
 
 
-def test_malformed_json_names_field(tmp_path, capsys):
+@pytest.mark.parametrize("entry, message", [
+    ('{"name": "A", "bloch_axis": [1, 0]}', "bloch_axis"),
+    ('{"name": "a", "basis": 5}', "bad.json.observables[0]: "),
+    ('{"name": "a", "projectors": 5}', "bad.json.observables[0]: "),
+], ids=["bloch_axis", "basis", "projectors"])
+def test_malformed_json_names_field(tmp_path, capsys, entry, message):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"dimension": 2, "observables": [{"name": "A", "bloch_axis": [1, 0]}]}')
+    bad.write_text('{"dimension": 2, "observables": [%s]}' % entry)
     code = run(["bounds", "--observables", str(bad), "--out", str(tmp_path / "o.json")])
     assert code == 1
-    assert "bloch_axis" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_non_finite_numbers_name_field(tmp_path, xz_bounds_file, capsys):
@@ -216,6 +221,7 @@ def test_non_finite_numbers_name_field(tmp_path, xz_bounds_file, capsys):
     for text, message in (
         ('{"bloch": [0, 0, Infinity]}', "state.json.bloch: entries must be finite"),
         ('{"bloch": [0, 0, 1], "norm": NaN}', "state.json.norm: must be finite"),
+        ('{"bloch": [0, 0, 1], "norm": [0.5]}', "state.json.norm: expected a number"),
     ):
         state.write_text(text)
         code = run(
@@ -360,8 +366,10 @@ def test_env_seed_default(tmp_path, monkeypatch):
 
 
 def test_module_entry_point():
+    # run from src/ so that the checkout's package is found without an install
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     proc = subprocess.run(
-        [sys.executable, "-m", "uqcr", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "uqcr", "--help"], capture_output=True, text=True, cwd=src
     )
     assert proc.returncode == 0
     assert "bounds" in proc.stdout
