@@ -10,13 +10,15 @@ all states, minimax duality turns each minimum into the largest
 {0 <= w_k <= 1, sum_k w_k = n}, a certified value from L weights; the
 multipliers of its last cutting-plane LP mix the cut eigenvectors into
 the primal state.  The level-n maximum is the largest eigenvalue over
-the C(L, n) subset operators (sums of n projectors split across the
-observables), which are enumerated exactly (up to ``CHOICE_BYTES_BUDGET``
-per level); flattening the maxima with the least concave majorant
-assembles the least upper bound ``s``.  Pure and fixed-norm minima have
-no such certificate: there a sampling oracle streams random admissible
-states in chunks, keeps each level's smallest top-n sum and its state,
-and seeds and checks every local minimum.
+the C(L, n) subset operators C_S (sums of n projectors split across the
+observables; at most ``CHOICE_OPERATOR_LIMIT`` per level).  The
+complement of S is a level-(L - n) choice with operator M I - C_S, so
+one ``eigvalsh`` sweep over each level n <= L/2, streamed in chunks,
+gives the maxima of levels n and L - n; flattening the maxima with the
+least concave majorant assembles the least upper bound ``s``.  Pure and
+fixed-norm minima have no such certificate: there a sampling oracle
+streams random admissible states in chunks, keeps each level's smallest
+top-n sum and its state, and seeds and checks every local minimum.
 """
 
 from __future__ import annotations
@@ -51,11 +53,16 @@ class SolverDiverged(UqcrError):
 
 
 class EnumerationTooLarge(UqcrError):
-    """One level's subset operators would exceed ``CHOICE_BYTES_BUDGET``."""
+    """One level has more than ``CHOICE_OPERATOR_LIMIT`` subset operators."""
 
 
-# bytes the (C(L, n), n, d, d) gather of ``_choice_stack`` may take for one level
-CHOICE_BYTES_BUDGET = 1 << 30
+# subset operators one level may have; the sweep streams them in chunks,
+# so this bounds time, not memory
+CHOICE_OPERATOR_LIMIT = 1 << 24
+
+# oracle samples or subset operators per chunk: one GEMM or batched
+# eigvalsh amortises its call overhead while the chunk stays a few MB
+_ORACLE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -198,61 +205,52 @@ def _top_n_sum(probs: np.ndarray, n: int) -> np.ndarray:
 
 
 def check_choice_budget(observables, levels=None) -> None:
-    """Raise ``EnumerationTooLarge`` if some level's subset operators would
-    exceed ``CHOICE_BYTES_BUDGET`` (default: every level).
-
-    ``_choice_stack`` gathers C(L, n) * n complex d x d blocks for level n;
-    counting them takes no enumeration, so this can run before any solve.
-    """
-    dim, total = _check_observables(observables)
-    sizes = {n: math.comb(total, n) * n * dim * dim * 16 for n in levels or range(1, total)}
-    level = max(sizes, key=sizes.get, default=None)
-    if level is not None and sizes[level] > CHOICE_BYTES_BUDGET:
+    """Raise ``EnumerationTooLarge`` if a level (default: any) has more than
+    ``CHOICE_OPERATOR_LIMIT`` subset operators.  Level n has C(L, n), so
+    this needs no enumeration and can run before any solve."""
+    _, total = _check_observables(observables)
+    level = max(levels or range(1, total), key=lambda n: math.comb(total, n), default=None)
+    if level is not None and math.comb(total, level) > CHOICE_OPERATOR_LIMIT:
         raise EnumerationTooLarge(
-            f"L={total} outcomes: level {level} needs {sizes[level]} bytes of subset "
-            f"operators, over the budget of {CHOICE_BYTES_BUDGET} bytes"
-        )
+            f"L={total} outcomes: level {level} has {math.comb(total, level)} subset "
+            f"operators, over the limit of {CHOICE_OPERATOR_LIMIT} per level")
 
 
-def _choice_stack(observables, n: int) -> tuple[list, np.ndarray]:
-    """Index sets and matrices of every level-n subset operator.
-
-    The count is the coefficient of z^n in prod_a (1+z)^(N_a), i.e.
-    C(L, n) for L total outcomes.  Order: splits (n_1..n_M) as
-    ``_compositions`` yields them, then subsets lexicographically.
-    """
-    check_choice_budget(observables, [n])
-    counts = [obs.outcome_count for obs in observables]
-    offsets = np.cumsum([0] + counts[:-1])
-    sets = [
-        subsets
-        for split in _compositions(n, counts)
-        for subsets in itertools.product(
-            *(itertools.combinations(range(c), k) for c, k in zip(counts, split))
-        )
-    ]
-    flat = np.array([[o + i for o, idx in zip(offsets, s) for i in idx] for s in sets])
-    return sets, _projector_stack(observables)[flat].sum(axis=1)
+def _choice_tables(observables, top: int) -> list:
+    """Per observable and size k <= top: its k-subsets in ``itertools.combinations``
+    order, shape (C(c, k), k), and their summed projectors, (C(c, k), d, d)."""
+    tables = []
+    for obs in observables:
+        c, proj = obs.outcome_count, np.stack(obs.projectors)
+        sets = (np.array(list(itertools.combinations(range(c), k)), dtype=int).reshape(
+            math.comb(c, k), k) for k in range(min(c, top) + 1))
+        tables.append([(s, proj[s].sum(axis=1)) for s in sets])
+    return tables
 
 
-def _compositions(n: int, caps: list[int]):
-    """Ordered splits (n_1..n_M) with 0 <= n_a <= caps[a] and sum n."""
-    if len(caps) == 1:
-        if 0 <= n <= caps[0]:
-            yield (n,)
-        return
-    for head in range(min(n, caps[0]) + 1):
-        for rest in _compositions(n - head, caps[1:]):
-            yield (head,) + rest
+def _choice_chunks(tables, n: int):
+    """Level-n subset operators in chunks of ``_ORACLE_CHUNK``, in split
+    order, then ``itertools.product`` order: (split, table rows, operators)."""
+    for split in itertools.product(*(range(len(row)) for row in tables)):
+        if sum(split) != n:
+            continue
+        parts = [row[k] for row, k in zip(tables, split)]
+        shape = tuple(len(sets) for sets, _ in parts)
+        size = math.prod(shape)
+        for start in range(0, size, _ORACLE_CHUNK):
+            rows = np.unravel_index(np.arange(start, min(start + _ORACLE_CHUNK, size)), shape)
+            # empty index sets add nothing; n >= 1 leaves a term
+            yield split, rows, sum(sums[r] for (_, sums), r, k in zip(parts, rows, split) if k)
 
 
 def enumerate_choices(observables, n: int) -> list[ChoiceOperator]:
     """All level-n subset operators across the observables."""
     observables = list(observables)
-    _, total_outcomes = _check_observables(observables)
-    _check_level(n, total_outcomes)
-    sets, mats = _choice_stack(observables, n)
-    return [ChoiceOperator(s, m, n) for s, m in zip(sets, mats)]
+    _check_level(n, _check_observables(observables)[1])
+    check_choice_budget(observables, [n])
+    tables = _choice_tables(observables, n)
+    return [ChoiceOperator(tuple(row[k][0][r[i]] for row, k, r in zip(tables, split, rows)), op, n)
+            for split, rows, ops in _choice_chunks(tables, n) for i, op in enumerate(ops)]
 
 
 def _choice_at(observables, proj: np.ndarray, state: np.ndarray, n: int) -> ChoiceOperator:
@@ -314,11 +312,6 @@ def _constrain_state(state: np.ndarray, constraint: StateConstraint) -> np.ndarr
     norm = np.linalg.norm(r)
     direction = r / norm if norm > 1e-12 else np.array([0.0, 0.0, 1.0])
     return _bloch_batch((constraint.r * direction)[None])[0]
-
-
-# samples per oracle chunk: one GEMM amortises its call overhead while the
-# chunk's tables stay a few MB whatever the sample count
-_ORACLE_CHUNK = 4096
 
 
 class _Oracle:
@@ -593,8 +586,8 @@ def _solve_min_level(observables, proj, n, constraint, cfg, rng, oracle):
         residual = value - oracle_min
         if residual > cfg.tol:
             raise SolverDiverged(
-                f"level {n}: solver value {value!r} exceeds oracle minimum "
-                f"{oracle_min!r} by more than tol={cfg.tol!r}"
+                f"level {n}: solver value {value!r} exceeds oracle minimum {oracle_min!r} by "
+                f"{residual!r}, over tol={cfg.tol!r}; raise --multistarts or --tol"
             )
         if oracle_min < value:
             value, state = oracle_min, oracle_state
@@ -651,26 +644,58 @@ def min_topn_over_states(observables, n: int,
     return cert
 
 
+def _max_certificates(observables, levels, constraint: StateConstraint) -> list[BoundCertificate]:
+    """Max certificates of the given levels from one streamed ``eigvalsh``
+    sweep per level n = min(level, L - level).  It keeps the C_S with the
+    largest lambda_max and the C_S with the smallest lambda_min (the
+    earlier on a tie; h + r (lambda - h) at Bloch radius r, h half the
+    trace).  The complement of S is a level-(L - n) choice with operator
+    M I - C_S, so the second winner's complement wins level L - n.  Only
+    winners are rebuilt, as sums of their projectors, for the certificate.
+    """
+    check_choice_budget(observables, levels)
+    if constraint.kind == "fixed_bloch_norm" and observables[0].dim != 2:
+        raise WrongDimension("fixed_bloch_norm is defined for dimension 2 only")
+    radius = constraint.r  # None but for a fixed Bloch norm
+    counts = [obs.outcome_count for obs in observables]
+    total, offsets = sum(counts), list(itertools.accumulate(counts, initial=0))
+    proj, tables = _projector_stack(observables), _choice_tables(observables, total // 2)
+    certs = {}
+    for n in sorted({min(n, total - n) for n in levels}):
+        top, bottom = (-np.inf, None, None), (np.inf, None, None)
+        for split, rows, ops in _choice_chunks(tables, n):
+            w = np.linalg.eigvalsh(ops)
+            hi, lo = w[:, -1], w[:, 0]
+            if radius is not None:
+                half = 0.5 * np.real(np.trace(ops, axis1=-2, axis2=-1))
+                hi, lo = half + radius * (hi - half), half + radius * (lo - half)
+            i, j = int(hi.argmax()), int(lo.argmin())
+            if hi[i] > top[0]:
+                top = (hi[i], split, [r[i] for r in rows])
+            if lo[j] < bottom[0]:
+                bottom = (lo[j], split, [r[j] for r in rows])
+        # at n = L/2 both ends are one level, and its own maximum wins
+        for level, (_, split, rows), complement in ((total - n, bottom, True), (n, top, False)):
+            sets = [row[k][0][i].tolist() for row, k, i in zip(tables, split, rows)]
+            if complement:
+                sets = [[i for i in range(c) if i not in s] for c, s in zip(counts, sets)]
+            cmat = proj[[o + i for o, s in zip(offsets, sets) for i in s]].sum(axis=0)
+            w, v = np.linalg.eigh(cmat)
+            half_tr = 0.5 * np.real(np.trace(cmat))
+            value = w[-1] if radius is None else half_tr + radius * (w[-1] - half_tr)
+            state = DensityMatrix(_constrain_state(np.outer(v[:, -1], v[:, -1].conj()), constraint))
+            diag = SolverDiagnostics(iterations=0, multistart_index=0, residual=0.0)
+            certs[level] = BoundCertificate(level, "max", float(value), state,
+                                            ChoiceOperator(tuple(sets), cmat, level), diag)
+    return [certs[n] for n in levels]
+
+
 def max_topn_over_states(observables, n: int,
                          constraint: StateConstraint = StateConstraint.all_states()) -> BoundCertificate:
     """Maximum top-n sum: the largest eigenvalue over the level-n choices."""
     observables = list(observables)
-    _, total_outcomes = _check_observables(observables)
-    _check_level(n, total_outcomes)
-    sets, cmats = _choice_stack(observables, n)
-    w, v = np.linalg.eigh(cmats)
-    vals = w[:, -1]
-    if constraint.kind == "fixed_bloch_norm":
-        if observables[0].dim != 2:
-            raise WrongDimension("fixed_bloch_norm is defined for dimension 2 only")
-        half_tr = 0.5 * np.real(np.trace(cmats, axis1=-2, axis2=-1))
-        vals = half_tr + constraint.r * (vals - half_tr)
-    best = int(vals.argmax())
-    ket = v[best][:, -1]
-    state = DensityMatrix(_constrain_state(np.outer(ket, ket.conj()), constraint))
-    diag = SolverDiagnostics(iterations=0, multistart_index=0, residual=0.0)
-    choice = ChoiceOperator(sets[best], cmats[best], n)
-    return BoundCertificate(n, "max", float(vals[best]), state, choice, diag)
+    _check_level(n, _check_observables(observables)[1])
+    return _max_certificates(observables, [n], constraint)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -711,14 +736,9 @@ def supremum_s(observables,
     """
     observables = list(observables)
     _, total_outcomes = _check_observables(observables)
-    check_choice_budget(observables)
     n_obs = len(observables)
-    certificates = []
-    maxima = [0.0]
-    for n in range(1, total_outcomes):
-        cert = max_topn_over_states(observables, n, constraint)
-        certificates.append(cert)
-        maxima.append(cert.value)
+    certificates = _max_certificates(observables, range(1, total_outcomes), constraint)
+    maxima = [0.0] + [cert.value for cert in certificates]
     maxima.append(float(n_obs))
     flat = mj.least_concave_majorant(np.array(maxima))
     entries = np.diff(flat)

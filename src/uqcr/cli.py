@@ -59,6 +59,8 @@ def _json_to_complex(x, field: str) -> complex:
         raise InputError(f"{field}: complex numbers are [re, im] pairs")
     try:
         z = complex(float(x[0]), float(x[1]))
+    except OverflowError:
+        raise InputError(f"{field}: complex parts must be finite") from None
     except (TypeError, ValueError):
         raise InputError(f"{field}: complex parts must be numbers") from None
     if not np.isfinite(z):
@@ -83,6 +85,8 @@ def _real_vector(x, field: str, size: int) -> np.ndarray:
         raise InputError(f"{field}: expected {size} numbers")
     try:
         vec = np.array([float(v) for v in x])
+    except OverflowError:
+        raise InputError(f"{field}: entries must be finite") from None
     except (TypeError, ValueError):
         raise InputError(f"{field}: entries must be numbers") from None
     if not np.all(np.isfinite(vec)):
@@ -204,7 +208,10 @@ def parse_state_file(doc: dict, dim: int, origin: str = "state") -> DensityMatri
             norm = doc["norm"]
             if isinstance(norm, bool) or not isinstance(norm, (int, float)):
                 raise InputError(f"{origin}.norm: expected a number")
-            norm = float(norm)
+            try:
+                norm = float(norm)
+            except OverflowError:
+                norm = np.inf
             if not np.isfinite(norm):
                 raise InputError(f"{origin}.norm: must be finite")
             length = np.linalg.norm(vec)
@@ -275,7 +282,12 @@ def _bounds_from_file(path: str):
     total = doc["total"]
     if isinstance(total, bool) or not isinstance(total, (int, float)):
         raise InputError(f"{path}.total: expected a number")
-    total = float(total)
+    try:
+        total = float(total)
+    except OverflowError:
+        total = np.inf
+    if not np.isfinite(total):
+        raise InputError(f"{path}.total: must be finite")
     _, observables = parse_observable_file(doc, path)
     try:
         t = mj.ProbVector(np.array(doc["t"], dtype=float), total)

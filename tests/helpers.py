@@ -4,6 +4,7 @@ Everything here is deliberately written the slow, obvious way so the
 library implementations are checked against a different code path.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -234,3 +235,37 @@ def sanchez_consistency_check(observables=None,
     pdv = state_direct_sum_pdv(observables, cert.achieving_state)
     target = 3.0 * _binary_entropy_bits(0.5 + 0.5 / math.sqrt(3.0))
     return bool(abs(mj.shannon_entropy(pdv, "bits") - target) <= 1e-6)
+
+
+def brute_level_maxima(observables, radius=None):
+    """Per-level maxima over every n-subset of the L stacked projectors.
+
+    Reference for the half sweep: ``itertools.combinations(range(L), n)``
+    and ``eigvalsh`` on every subset operator, at every level 1..L-1.
+    With a fixed Bloch radius r the value is h + r (lambda_max - h), h
+    half the trace.
+    """
+    proj = np.concatenate([np.stack(obs.projectors) for obs in observables])
+    total = proj.shape[0]
+    maxima = []
+    for n in range(1, total):
+        ops = proj[np.array(list(itertools.combinations(range(total), n)))].sum(axis=1)
+        values = np.linalg.eigvalsh(ops)[:, -1]
+        if radius is not None:
+            half = 0.5 * np.real(np.trace(ops, axis1=-2, axis2=-1))
+            values = half + radius * (values - half)
+        maxima.append(float(values.max()))
+    return maxima
+
+
+def product_order_index_sets(observables, n):
+    """Index sets of the level-n choices, split by split, in ``itertools.product`` order."""
+    counts = [obs.outcome_count for obs in observables]
+    sets = []
+    for split in itertools.product(*(range(c + 1) for c in counts)):
+        if sum(split) != n:
+            continue
+        sets += itertools.product(
+            *(itertools.combinations(range(c), k) for c, k in zip(counts, split))
+        )
+    return sets

@@ -1,8 +1,10 @@
 import math
 import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from uqcr import (
     DensityMatrix,
@@ -35,10 +37,12 @@ from uqcr.bounds import (
 )
 
 from helpers import (
+    brute_level_maxima,
     coarse_grained_basis,
     full_table_oracle,
     kelley_choice_dual,
     prefix_majorized,
+    product_order_index_sets,
     random_orthonormal_basis,
     sample_pure_states,
     sorted_prefix_matrix,
@@ -89,6 +93,27 @@ def test_choice_operator_invariants():
             assert w[0] >= -1e-10
             assert w[-1] <= 2 + 1e-10
             assert sum(choice.n_alpha) == n
+
+
+@pytest.mark.parametrize("observables", [
+    XZ,
+    planar_triple_observables(0.5),
+    standard_mub_set(3),
+    [coarse_grained_basis(4, (2, 1, 1), np.random.default_rng(i)) for i in range(3)],
+    [pauli_observable("z")],
+], ids=["xz", "planar_triple", "qutrit_mubs", "coarse_d4x3", "single"])
+def test_choice_order_matches_product(observables):
+    # splits in lexicographic order, then itertools.product over the
+    # per-observable combinations
+    total = sum(obs.outcome_count for obs in observables)
+    proj = _projector_stack(observables)
+    offsets = np.cumsum([0] + [obs.outcome_count for obs in observables])
+    for n in range(1, total):
+        choices = enumerate_choices(observables, n)
+        assert [c.index_sets for c in choices] == product_order_index_sets(observables, n)
+        for c in choices:
+            flat = [o + i for o, s in zip(offsets, c.index_sets) for i in s]
+            assert np.max(np.abs(c.matrix - proj[flat].sum(axis=0))) <= 1e-12
 
 
 def test_top_n_sum_basics():
@@ -241,6 +266,83 @@ def test_supremum_fixed_norm_interpolates():
     assert np.allclose(s1.entries, s_all.entries, atol=1e-9)
     s0, _ = supremum_s(XZ, StateConstraint.fixed_bloch_norm(0.0))
     assert np.allclose(s0.entries, 0.5, atol=1e-9)
+
+
+def _assert_max_certificates(observables, constraint=StateConstraint.all_states()):
+    """Check supremum_s against brute-force level maxima and its certificates."""
+    radius = constraint.r if constraint.kind == "fixed_bloch_norm" else None
+    _, certs = supremum_s(observables, constraint)
+    expected = brute_level_maxima(observables, radius)
+    assert [c.level for c in certs] == list(range(1, len(expected) + 1))
+    assert np.max(np.abs(np.array([c.value for c in certs]) - expected)) <= 1e-12
+    proj = _projector_stack(observables)
+    offsets = np.cumsum([0] + [obs.outcome_count for obs in observables])
+    for cert in certs:
+        # the value is reproduced from the certificate's own index sets
+        flat = [o + i for o, s in zip(offsets, cert.achieving_choice.index_sets) for i in s]
+        assert len(flat) == cert.level
+        op = proj[flat].sum(axis=0)
+        value = np.linalg.eigvalsh(op)[-1]
+        if radius is not None:
+            half = 0.5 * np.real(np.trace(op))
+            value = half + radius * (value - half)
+        assert abs(cert.value - value) <= 1e-12
+        assert np.max(np.abs(cert.achieving_choice.matrix - op)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_supremum_matches_brute_force_random_bases(dim, count, seed):
+    rng = np.random.default_rng(seed)
+    _assert_max_certificates([random_orthonormal_basis(dim, rng) for _ in range(count)])
+
+
+@pytest.mark.parametrize("observables", [
+    [coarse_grained_basis(4, (2, 1, 1), np.random.default_rng(i)) for i in range(3)],
+    [coarse_grained_basis(6, (3, 2, 1), np.random.default_rng(i)) for i in range(3)],
+    [coarse_grained_basis(4, (3, 1), np.random.default_rng(7)),
+     random_orthonormal_basis(4, np.random.default_rng(8))],
+    [random_orthonormal_basis(4, np.random.default_rng(9))],
+    [coarse_grained_basis(5, (2, 2, 1), np.random.default_rng(10))],
+], ids=["coarse_d4x3", "coarse_d6x3", "coarse_and_fine", "single_basis", "single_coarse"])
+def test_supremum_matches_brute_force(observables):
+    _assert_max_certificates(observables)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.7, 1.0])
+@pytest.mark.parametrize("observables", [
+    XZ,
+    planar_triple_observables(0.4),
+    standard_mub_set(2),
+    [random_orthonormal_basis(2, np.random.default_rng(i)) for i in range(4)],
+], ids=["xz", "planar_triple", "qubit_mubs", "random_qubit_x4"])
+def test_supremum_fixed_norm_matches_brute_force(observables, r):
+    _assert_max_certificates(observables, StateConstraint.fixed_bloch_norm(r))
+
+
+def test_max_topn_levels_match_supremum():
+    # each level, below and above L/2, from the sweep of level min(n, L - n)
+    obs = [coarse_grained_basis(4, (2, 1, 1), np.random.default_rng(i)) for i in range(3)]
+    _, certs = supremum_s(obs)
+    for cert in certs:
+        single = max_topn_over_states(obs, cert.level)
+        assert single.value == cert.value
+        assert single.achieving_choice.index_sets == cert.achieving_choice.index_sets
+
+
+def test_supremum_memory_is_one_chunk():
+    # the sweep streams each level in chunks; four Haar bases in d=4 have
+    # C(16, 8) = 12,870 operators at level 8 and 65,534 in all
+    rng = np.random.default_rng(16)
+    obs = [random_orthonormal_basis(4, rng) for _ in range(4)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        supremum_s(obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 8 * _ORACLE_CHUNK * 16 * 16
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -218,10 +219,14 @@ def test_non_finite_numbers_name_field(tmp_path, xz_bounds_file, capsys):
     assert run(["bounds", "--observables", str(obs), "--out", str(tmp_path / "o.json")]) == 1
     assert "observables[0].basis[1][1]: complex parts must be finite" in capsys.readouterr().err
     state = tmp_path / "state.json"
+    huge = "1" + "0" * 400  # a JSON integer too large for a float
     for text, message in (
         ('{"bloch": [0, 0, Infinity]}', "state.json.bloch: entries must be finite"),
         ('{"bloch": [0, 0, 1], "norm": NaN}', "state.json.norm: must be finite"),
         ('{"bloch": [0, 0, 1], "norm": [0.5]}', "state.json.norm: expected a number"),
+        ('{"bloch": [0, 0, %s]}' % huge, "state.json.bloch: entries must be finite"),
+        ('{"bloch": [0, 0, 1], "norm": %s}' % huge, "state.json.norm: must be finite"),
+        ('{"ket": [[1, 0], [%s, 0]]}' % huge, "state.json.ket[1]: complex parts must be finite"),
     ):
         state.write_text(text)
         code = run(
@@ -290,6 +295,7 @@ def test_bad_solver_flag_is_input_error(tmp_path, capsys, flag, value, field):
     ("observables", "pauli_xz"),
     ("observables[0]", 5),
     ("observables[0]", {"name": "X", "projectors": 5}),
+    pytest.param("total", 10**400, id="total-too-large-for-float"),
 ])
 def test_malformed_bounds_file_names_field(tmp_path, xz_bounds_file, capsys, field, value):
     doc = json.loads(xz_bounds_file.read_text())
@@ -330,8 +336,36 @@ def test_choice_budget_rejects_before_solving(tmp_path, capsys, monkeypatch):
     out = tmp_path / "o.json"
     assert run(["bounds", "--observables", str(obs), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    need = math.comb(60, 30) * 30 * 6 * 6 * 16
-    assert f"error: --observables: L=60 outcomes: level 30 needs {need} bytes" in err
+    assert f"error: --observables: L=60 outcomes: level 30 has {math.comb(60, 30)} subset" in err
+    assert not out.exists()
+
+
+def test_solver_diverged_names_level_excess_and_settings(tmp_path, capsys, monkeypatch):
+    # a local search that ends far above the sampling oracle's minimum
+    from uqcr import bounds
+
+    def stuck(objective, x0s, limit):
+        return 2.5, x0s[0], 0, 1
+
+    monkeypatch.setattr(bounds, "_nm_multistart", stuck)
+    out = tmp_path / "o.json"
+    code = run(
+        [
+            "bounds",
+            "--observables", config("mub3_qubit.json"),
+            "--constraint", "pure",
+            "--oracle-samples", "2000",
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    m = re.search(r"level 1: solver value (\S+) exceeds oracle minimum (\S+) by (\S+),", err)
+    assert m is not None, err
+    value, oracle_min, excess = (float(g) for g in m.groups())
+    assert value == 2.5
+    assert excess == value - oracle_min
+    assert "--multistarts" in err and "--tol" in err
     assert not out.exists()
 
 
