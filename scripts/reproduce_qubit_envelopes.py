@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Reproduce the three shipped qubit configurations end to end.
+"""Reproduce the three shipped qubit configurations end to end, and the
+qubit MUBs at Bloch norm 1/2.
 
 For each configuration this computes the envelope vectors t and s,
 compares the solver output against the closed forms where one exists,
@@ -49,7 +50,10 @@ def run_config(label, observables, constraint, cfg, closed_form, outdir):
         for k in range(len(lt)):
             fh.write(f"{k},{lt[k]:.12g},{ls[k]:.12g}\n")
     print(f"  wrote {path}")
-    rho = DensityMatrix.maximally_mixed(2) if constraint.kind == "all_states" else bloch_to_density((0, 0, 1))
+    if constraint.kind == "all_states":
+        rho = DensityMatrix.maximally_mixed(2)
+    else:
+        rho = bloch_to_density((0, 0, 1.0 if constraint.r is None else constraint.r))
     report = certify_state(observables, rho, (t, s))
     print(
         f"  spot state: sandwich={report.sandwich_ok}, "
@@ -88,6 +92,14 @@ def main():
         StateConstraint.pure_only(),
         cfg,
         qubit_mub_t(1.0),
+        args.outdir,
+    )
+    run_config(
+        "qubit_mubs_bloch_0.5",
+        standard_mub_set(2),
+        StateConstraint.fixed_bloch_norm(0.5),
+        cfg,
+        qubit_mub_t(0.5),
         args.outdir,
     )
     return 0

@@ -42,8 +42,8 @@ def main():
     if kind == "all_states":
         # a Hilbert-Schmidt state is the partial trace of a Haar ket on C^d (x) C^d,
         # whose Born probabilities under Pi_k (x) I are the state's under Pi_k
-        proj, dim, constraint = np.kron(proj, np.eye(dim)), dim * dim, StateConstraint.pure_only()
-    oracle = _Oracle(proj, dim, constraint, args.samples, np.random.default_rng(args.seed))
+        proj, dim = np.kron(proj, np.eye(dim)), dim * dim
+    oracle = _Oracle(proj, dim, args.samples, np.random.default_rng(args.seed))
 
     t_prefix, s_prefix = np.cumsum(t.entries)[:, None], np.cumsum(s.entries)[:, None]
     lower_bad = upper_bad = 0

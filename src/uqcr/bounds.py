@@ -15,10 +15,21 @@ observables; at most ``CHOICE_OPERATOR_LIMIT`` per level).  The
 complement of S is a level-(L - n) choice with operator M I - C_S, so
 one ``eigvalsh`` sweep over each level n <= L/2, streamed in chunks,
 gives the maxima of levels n and L - n; flattening the maxima with the
-least concave majorant assembles the least upper bound ``s``.  Pure and
-fixed-norm minima have no such certificate: there a sampling oracle
-streams random admissible states in chunks, keeps each level's smallest
-top-n sum and its state, and seeds and checks every local minimum.
+least concave majorant assembles the least upper bound ``s``.  Pure
+minima have no such certificate: there a sampling oracle streams random
+kets in chunks, keeps each level's smallest top-n sum and its state, and
+seeds and checks every local minimum.
+
+A qubit state at Bloch norm r is r |psi><psi| + (1 - r) I/2, so its Born
+probabilities are h_k + r (q_k - h_k), with q_k those of the pure state
+and h_k = tr(Pi_k) / 2 those of I/2.  A qubit projector has h in
+{0, 1/2, 1}, so for r > 0 the map keeps the order of q, and q sorted
+with ties broken by h sorts h too: the top-n sum at radius r is
+H_n + r (top-n sum of q - H_n), H_n the top-n sum of h.  Fixed-norm
+level minima are therefore the pure minima under that map, reached at
+the image of the pure minimizer, and a subset operator C_S reaches at
+most h_S + r (lambda_max - h_S), h_S half its trace.  ``_at_radius``
+applies the map.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ from .quantum import (
     DensityMatrix,
     ProjectiveObservable,
     WrongDimension,
+    bloch_to_density,
     observable_from_bloch_axis,
     pauli_observable,
 )
@@ -53,12 +65,15 @@ class SolverDiverged(UqcrError):
 
 
 class EnumerationTooLarge(UqcrError):
-    """One level has more than ``CHOICE_OPERATOR_LIMIT`` subset operators."""
+    """One level has more than ``CHOICE_OPERATOR_LIMIT`` subset operators, or
+    the sweep's tables would take more than ``CHOICE_TABLE_BYTES``."""
 
 
 # subset operators one level may have; the sweep streams them in chunks,
 # so this bounds time, not memory
 CHOICE_OPERATOR_LIMIT = 1 << 24
+# bytes the sweep's per-observable tables of summed projectors may take
+CHOICE_TABLE_BYTES = 1 << 30
 
 # oracle samples or subset operators per chunk: one GEMM or batched
 # eigvalsh amortises its call overhead while the chunk stays a few MB
@@ -173,7 +188,7 @@ class BoundCertificate:
 # ---------------------------------------------------------------------------
 # projector stack, enumeration and partial sums
 
-def _check_observables(observables) -> tuple[int, int]:
+def _check_observables(observables, constraint=None) -> tuple[int, int]:
     observables = list(observables)
     if not observables:
         raise ValueError("need at least one observable")
@@ -181,6 +196,8 @@ def _check_observables(observables) -> tuple[int, int]:
     for obs in observables:
         if obs.dim != dim:
             raise ValueError("observables must share one dimension")
+    if constraint is not None and constraint.r is not None and dim != 2:
+        raise WrongDimension("fixed_bloch_norm is defined for dimension 2 only")
     return dim, sum(obs.outcome_count for obs in observables)
 
 
@@ -206,14 +223,23 @@ def _top_n_sum(probs: np.ndarray, n: int) -> np.ndarray:
 
 def check_choice_budget(observables, levels=None) -> None:
     """Raise ``EnumerationTooLarge`` if a level (default: any) has more than
-    ``CHOICE_OPERATOR_LIMIT`` subset operators.  Level n has C(L, n), so
+    ``CHOICE_OPERATOR_LIMIT`` subset operators, or if the sweep's tables
+    (a d x d complex sum per k-subset of each observable, k <= L/2) take
+    more than ``CHOICE_TABLE_BYTES``.  Level n has C(L, n) operators, so
     this needs no enumeration and can run before any solve."""
-    _, total = _check_observables(observables)
+    observables = list(observables)
+    dim, total = _check_observables(observables)
     level = max(levels or range(1, total), key=lambda n: math.comb(total, n), default=None)
     if level is not None and math.comb(total, level) > CHOICE_OPERATOR_LIMIT:
         raise EnumerationTooLarge(
             f"L={total} outcomes: level {level} has {math.comb(total, level)} subset "
             f"operators, over the limit of {CHOICE_OPERATOR_LIMIT} per level")
+    entries = sum(math.comb(obs.outcome_count, k) for obs in observables
+                  for k in range(min(obs.outcome_count, total // 2) + 1))
+    if 16 * dim * dim * entries > CHOICE_TABLE_BYTES:
+        raise EnumerationTooLarge(
+            f"L={total} outcomes: the subset tables have {entries} entries of {dim}x{dim}, "
+            f"{16 * dim * dim * entries} bytes, over the limit of {CHOICE_TABLE_BYTES}")
 
 
 def _choice_tables(observables, top: int) -> list:
@@ -269,70 +295,35 @@ def top_n_sum(p: mj.ProbVector, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pure and fixed-norm state sampling (the oracle side of those solves)
+# pure-state sampling (the oracle side of the pure and fixed-norm solves)
 
-def _sample_draws(dim: int, constraint: StateConstraint, count: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Raw draws of ``count`` pure or fixed-norm states, the sample along axis 0.
+def _at_radius(x, x0, constraint: StateConstraint):
+    """x0 + r (x - x0) at a fixed Bloch norm r, else x unchanged.
 
-    Unit kets for pure states, Bloch vectors for a fixed Bloch norm.
+    x is a pure-state level value or state and x0 that of I/2: the
+    top-n sum H_n of h_k = tr(Pi_k) / 2, or I/2 itself.
     """
-    if constraint.kind == "pure_only":
-        kets = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-        kets /= np.linalg.norm(kets, axis=1)[:, None]
-        return kets
-    if dim != 2:
-        raise WrongDimension("fixed_bloch_norm is defined for dimension 2 only")
-    dirs = rng.standard_normal((count, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    return constraint.r * dirs
-
-
-def _density_batch(draws: np.ndarray, constraint: StateConstraint) -> np.ndarray:
-    """Density matrices of a batch of draws from ``_sample_draws``."""
-    if constraint.kind == "pure_only":
-        return draws[:, :, None] * draws[:, None, :].conj()
-    return _bloch_batch(draws)
-
-
-def _bloch_batch(rs: np.ndarray) -> np.ndarray:
-    out = np.zeros((rs.shape[0], 2, 2), dtype=complex)
-    out[:, 0, 0] = 0.5 * (1.0 + rs[:, 2])
-    out[:, 1, 1] = 0.5 * (1.0 - rs[:, 2])
-    out[:, 0, 1] = 0.5 * (rs[:, 0] - 1j * rs[:, 1])
-    out[:, 1, 0] = 0.5 * (rs[:, 0] + 1j * rs[:, 1])
-    return out
-
-
-def _constrain_state(state: np.ndarray, constraint: StateConstraint) -> np.ndarray:
-    """Map a pure state into the admissible family."""
-    if constraint.kind != "fixed_bloch_norm":
-        return state
-    r = np.array([np.real(np.trace(p @ state)) for p in PAULIS])
-    norm = np.linalg.norm(r)
-    direction = r / norm if norm > 1e-12 else np.array([0.0, 0.0, 1.0])
-    return _bloch_batch((constraint.r * direction)[None])[0]
+    return x if constraint.r is None else x0 + constraint.r * (x - x0)
 
 
 class _Oracle:
-    """Per-level minima of the top-n sum over sampled pure or fixed-norm states.
+    """Per-level minima of the top-n sum over sampled pure states.
 
-    Keeps only the raw draws as ``states`` (see ``_sample_draws``) and,
-    per level, the smallest prefix sum of the sorted Born probabilities
-    and the sample that reached it; a tie goes to the earlier sample.
-    The draws are walked in chunks of ``_ORACLE_CHUNK``.  With W_k the
-    orthonormal rows of Pi_k (Pi_k = W_k^dag W_k), the Born probability
-    of a ket g is |W_k g|^2 / |g|^2: one real GEMM per chunk with the
-    kets along the columns.  Fixed-norm qubit states go through
-    ``_born``.  Hilbert-Schmidt states, partial traces of Haar kets on
-    C^d (x) C^d, come from the pure oracle of the projectors Pi_k (x) I.
+    Keeps only its ``count`` Haar-random unit kets as ``states``, the
+    sample along axis 0, and, per level, the smallest prefix sum of the
+    sorted Born probabilities and the sample that reached it; a tie goes
+    to the earlier sample.  The kets are walked in chunks of
+    ``_ORACLE_CHUNK``.  With W_k the orthonormal rows of Pi_k
+    (Pi_k = W_k^dag W_k), the Born probability of a ket g is
+    |W_k g|^2 / |g|^2: one real GEMM per chunk with the kets along the
+    columns.  Fixed-norm qubit states need no draws of their own (see
+    ``_at_radius``).  Hilbert-Schmidt states, partial traces of Haar kets
+    on C^d (x) C^d, come from the pure oracle of the projectors Pi_k (x) I.
     """
 
-    def __init__(self, proj_stack: np.ndarray, dim: int, constraint: StateConstraint,
-                 count: int, rng: np.random.Generator):
-        self.states = _sample_draws(dim, constraint, count, rng)
-        self._constraint = constraint
-        self._proj = proj_stack
+    def __init__(self, proj_stack: np.ndarray, dim: int, count: int, rng: np.random.Generator):
+        self.states = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+        self.states /= np.linalg.norm(self.states, axis=1)[:, None]
         blocks = []
         for p in proj_stack:
             w, v = np.linalg.eigh(p)
@@ -356,18 +347,15 @@ class _Oracle:
         """Prefix sums of the sorted Born probabilities, one (L, chunk) array per chunk."""
         for start in range(0, self.states.shape[0], _ORACLE_CHUNK):
             draws = self.states[start:start + _ORACLE_CHUNK]
-            if self._constraint.kind == "fixed_bloch_norm":
-                probs = _born(_bloch_batch(draws), self._proj)
-            else:
-                size, dim = draws.shape
-                # one column per ket, real parts over imaginary parts
-                parts = np.empty((2, dim, size))
-                parts[0] = draws.real.T
-                parts[1] = draws.imag.T
-                sq = parts.reshape(2 * dim, size).T @ self._factors.T
-                sq *= sq
-                probs = sq @ self._owner.T
-                probs /= np.square(parts).reshape(-1, size).sum(axis=0)[:, None]
+            size, dim = draws.shape
+            # one column per ket, real parts over imaginary parts
+            parts = np.empty((2, dim, size))
+            parts[0] = draws.real.T
+            parts[1] = draws.imag.T
+            sq = parts.reshape(2 * dim, size).T @ self._factors.T
+            sq *= sq
+            probs = sq @ self._owner.T
+            probs /= np.square(parts).reshape(-1, size).sum(axis=0)[:, None]
             np.clip(probs, 0.0, 1.0, out=probs)
             probs.sort(axis=1)
             # row n-1 holds the top-n sums; row by row, as fast as cumsum is slow here
@@ -379,9 +367,8 @@ class _Oracle:
             yield prefix
 
     def min_at(self, level: int) -> tuple[float, np.ndarray]:
-        idx = int(self._argmin[level - 1])
-        state = _density_batch(self.states[idx:idx + 1], self._constraint)[0]
-        return float(self._minima[level - 1]), state
+        ket = self.states[int(self._argmin[level - 1])]
+        return float(self._minima[level - 1]), np.outer(ket, ket.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +477,14 @@ def _nm_multistart(objective, x0s, limit):
     return best_val, best_x, best_start, fevs
 
 
-def _min_level_bloch_sphere(proj, n, radius, cfg, rng, oracle_state):
+def _min_level_bloch_sphere(proj, n, cfg, rng, oracle_state):
     paulis = np.stack(PAULIS)
     base = 0.5 * np.real(np.trace(proj, axis1=-2, axis2=-1))
     wvecs = 0.5 * np.einsum("kij,mji->km", proj, paulis, optimize=True).real
 
     def bloch(ang):
         st, ct = math.sin(ang[0]), math.cos(ang[0])
-        return radius * np.array([st * math.cos(ang[1]), st * math.sin(ang[1]), ct])
+        return np.array([st * math.cos(ang[1]), st * math.sin(ang[1]), ct])
 
     def objective(ang):
         return float(_top_n_sum(base + wvecs @ bloch(ang), n))
@@ -512,8 +499,7 @@ def _min_level_bloch_sphere(proj, n, radius, cfg, rng, oracle_state):
     while len(x0s) < cfg.multistarts:
         x0s.append(np.array([math.acos(rng.uniform(-1, 1)), rng.uniform(-math.pi, math.pi)]))
     best_val, best_x, best_start, fevs = _nm_multistart(objective, x0s, cfg.multistarts)
-    state = _bloch_batch(bloch(best_x)[None])[0]
-    return best_val, -np.inf, state, fevs, best_start
+    return best_val, -np.inf, bloch_to_density(bloch(best_x)).matrix, fevs, best_start
 
 
 def _ket_from_chart(x: np.ndarray, dim: int) -> np.ndarray:
@@ -574,15 +560,16 @@ def _solve_min_level(observables, proj, n, constraint, cfg, rng, oracle):
         value, dual, state, iters, start = _min_level_all_states(proj, n, cfg)
         residual, oracle_min = 0.0, None
     else:
-        # pure and fixed-norm states: multistart Nelder-Mead on a chart,
-        # seeded and checked by the oracle
+        # pure and fixed-norm states: multistart Nelder-Mead over pure
+        # states on a chart, seeded and checked by the oracle; a fixed
+        # Bloch norm maps the solver's and the oracle's results to radius r
         oracle_min, oracle_state = oracle.min_at(n)
-        if constraint.kind == "fixed_bloch_norm" or proj.shape[-1] == 2:
-            radius = 1.0 if constraint.kind == "pure_only" else float(constraint.r)
-            solve = _min_level_bloch_sphere(proj, n, radius, cfg, rng, oracle_state)
-        else:
-            solve = _min_level_pure_ket(proj, n, cfg, rng, oracle_state)
-        value, dual, state, iters, start = solve
+        solve = _min_level_bloch_sphere if proj.shape[-1] == 2 else _min_level_pure_ket
+        value, dual, state, iters, start = solve(proj, n, cfg, rng, oracle_state)
+        mixed = _top_n_sum(0.5 * np.real(np.trace(proj, axis1=-2, axis2=-1)), n)
+        value, oracle_min = (float(_at_radius(x, mixed, constraint)) for x in (value, oracle_min))
+        state, oracle_state = (_at_radius(x, 0.5 * np.eye(2), constraint)
+                               for x in (state, oracle_state))
         residual = value - oracle_min
         if residual > cfg.tol:
             raise SolverDiverged(
@@ -626,7 +613,7 @@ def _min_levels(observables, levels, constraint: StateConstraint, cfg: SolverCon
     )
     oracle = None
     if constraint.kind != "all_states":
-        oracle = _Oracle(proj, observables[0].dim, constraint, cfg.oracle_samples, rng_oracle)
+        oracle = _Oracle(proj, observables[0].dim, cfg.oracle_samples, rng_oracle)
     return [
         _solve_min_level(observables, proj, n, constraint, cfg, rng, oracle)
         for n, rng in zip(levels, rng_levels)
@@ -638,7 +625,7 @@ def min_topn_over_states(observables, n: int,
                          cfg: SolverConfig = SolverConfig()) -> BoundCertificate:
     """Minimum over admissible states of the top-n sum of the direct-sum PDV."""
     observables = list(observables)
-    _, total_outcomes = _check_observables(observables)
+    _, total_outcomes = _check_observables(observables, constraint)
     _check_level(n, total_outcomes)
     [(cert, _)] = _min_levels(observables, [n], constraint, cfg, (cfg.seed, n))
     return cert
@@ -648,15 +635,12 @@ def _max_certificates(observables, levels, constraint: StateConstraint) -> list[
     """Max certificates of the given levels from one streamed ``eigvalsh``
     sweep per level n = min(level, L - level).  It keeps the C_S with the
     largest lambda_max and the C_S with the smallest lambda_min (the
-    earlier on a tie; h + r (lambda - h) at Bloch radius r, h half the
+    earlier on a tie; values go through ``_at_radius`` with h half the
     trace).  The complement of S is a level-(L - n) choice with operator
     M I - C_S, so the second winner's complement wins level L - n.  Only
     winners are rebuilt, as sums of their projectors, for the certificate.
     """
     check_choice_budget(observables, levels)
-    if constraint.kind == "fixed_bloch_norm" and observables[0].dim != 2:
-        raise WrongDimension("fixed_bloch_norm is defined for dimension 2 only")
-    radius = constraint.r  # None but for a fixed Bloch norm
     counts = [obs.outcome_count for obs in observables]
     total, offsets = sum(counts), list(itertools.accumulate(counts, initial=0))
     proj, tables = _projector_stack(observables), _choice_tables(observables, total // 2)
@@ -666,9 +650,9 @@ def _max_certificates(observables, levels, constraint: StateConstraint) -> list[
         for split, rows, ops in _choice_chunks(tables, n):
             w = np.linalg.eigvalsh(ops)
             hi, lo = w[:, -1], w[:, 0]
-            if radius is not None:
+            if constraint.r is not None:  # many chunks are small: skip the trace
                 half = 0.5 * np.real(np.trace(ops, axis1=-2, axis2=-1))
-                hi, lo = half + radius * (hi - half), half + radius * (lo - half)
+                hi, lo = _at_radius(hi, half, constraint), _at_radius(lo, half, constraint)
             i, j = int(hi.argmax()), int(lo.argmin())
             if hi[i] > top[0]:
                 top = (hi[i], split, [r[i] for r in rows])
@@ -681,9 +665,9 @@ def _max_certificates(observables, levels, constraint: StateConstraint) -> list[
                 sets = [[i for i in range(c) if i not in s] for c, s in zip(counts, sets)]
             cmat = proj[[o + i for o, s in zip(offsets, sets) for i in s]].sum(axis=0)
             w, v = np.linalg.eigh(cmat)
-            half_tr = 0.5 * np.real(np.trace(cmat))
-            value = w[-1] if radius is None else half_tr + radius * (w[-1] - half_tr)
-            state = DensityMatrix(_constrain_state(np.outer(v[:, -1], v[:, -1].conj()), constraint))
+            value = _at_radius(w[-1], 0.5 * np.real(np.trace(cmat)), constraint)
+            state = DensityMatrix(_at_radius(np.outer(v[:, -1], v[:, -1].conj()),
+                                             0.5 * np.eye(2), constraint))
             diag = SolverDiagnostics(iterations=0, multistart_index=0, residual=0.0)
             certs[level] = BoundCertificate(level, "max", float(value), state,
                                             ChoiceOperator(tuple(sets), cmat, level), diag)
@@ -694,7 +678,7 @@ def max_topn_over_states(observables, n: int,
                          constraint: StateConstraint = StateConstraint.all_states()) -> BoundCertificate:
     """Maximum top-n sum: the largest eigenvalue over the level-n choices."""
     observables = list(observables)
-    _check_level(n, _check_observables(observables)[1])
+    _check_level(n, _check_observables(observables, constraint)[1])
     return _max_certificates(observables, [n], constraint)[0]
 
 
@@ -711,7 +695,7 @@ def infimum_t(observables,
     solver noise, which a pool-adjacent-violators pass removes.
     """
     observables = list(observables)
-    _, total_outcomes = _check_observables(observables)
+    _, total_outcomes = _check_observables(observables, constraint)
     n_obs = len(observables)
     solved = _min_levels(
         observables, range(1, total_outcomes), constraint, cfg, (cfg.seed, 0x1F)
@@ -735,7 +719,7 @@ def supremum_s(observables,
     differencing.
     """
     observables = list(observables)
-    _, total_outcomes = _check_observables(observables)
+    _, total_outcomes = _check_observables(observables, constraint)
     n_obs = len(observables)
     certificates = _max_certificates(observables, range(1, total_outcomes), constraint)
     maxima = [0.0] + [cert.value for cert in certificates]

@@ -346,6 +346,8 @@ def _state_admissible(rho: DensityMatrix, constraint: bd.StateConstraint) -> boo
 def cmd_bounds(args) -> int:
     dim, observables = parse_observable_file(_load_json(args.observables), args.observables)
     constraint = _parse_constraint(args.constraint)
+    if constraint.r is not None and dim != 2:
+        raise InputError(f"--constraint: bloch=R needs dimension 2, the observables have {dim}")
     try:
         cfg = bd.SolverConfig(
             max_iter=args.max_iter,

@@ -187,17 +187,8 @@ def full_table_oracle(observables, constraint, count, seed):
     dim = observables[0].dim
     if constraint.kind == "all_states":
         states = sample_mixed_states(dim, count, rng)
-    elif constraint.kind == "pure_only":
-        states = sample_pure_states(dim, count, rng)
     else:
-        dirs = rng.standard_normal((count, 3))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        rs = constraint.r * dirs
-        states = np.zeros((count, 2, 2), dtype=complex)
-        states[:, 0, 0] = 0.5 * (1.0 + rs[:, 2])
-        states[:, 1, 1] = 0.5 * (1.0 - rs[:, 2])
-        states[:, 0, 1] = 0.5 * (rs[:, 0] - 1j * rs[:, 1])
-        states[:, 1, 0] = 0.5 * (rs[:, 0] + 1j * rs[:, 1])
+        states = sample_pure_states(dim, count, rng)
     prefix = sorted_prefix_matrix(observables, states)
     idx = prefix.argmin(axis=0)
     return prefix[idx, np.arange(prefix.shape[1])], states[idx]

@@ -15,6 +15,7 @@ from uqcr import (
     infimum_t,
     max_topn_over_states,
     min_topn_over_states,
+    observable_from_bloch_axis,
     pauli_observable,
     qubit_mub_t,
     qubit_planar_triple_t,
@@ -35,6 +36,7 @@ from uqcr.bounds import (
     _projector_stack,
     planar_triple_observables,
 )
+from uqcr.quantum import PAULIS
 
 from helpers import (
     brute_level_maxima,
@@ -56,6 +58,14 @@ MUB_HI = 0.5 + 0.5 / math.sqrt(3)          # 0.788675...
 
 XZ = [pauli_observable("x"), pauli_observable("z")]
 FAST = SolverConfig(seed=5, oracle_samples=20_000)
+I2 = np.eye(2, dtype=complex)
+# an identity and a zero projector (tr Pi / 2 = 1 and 0) between two axes
+TRIVIAL_PROJECTORS = [
+    observable_from_bloch_axis((1.0, 0.3, -0.2)),
+    ProjectiveObservable((I2,)),
+    ProjectiveObservable((I2, 0 * I2)),
+    observable_from_bloch_axis((0.1, -1.0, 0.5)),
+]
 
 
 @pytest.fixture(scope="module")
@@ -315,7 +325,8 @@ def test_supremum_matches_brute_force(observables):
     planar_triple_observables(0.4),
     standard_mub_set(2),
     [random_orthonormal_basis(2, np.random.default_rng(i)) for i in range(4)],
-], ids=["xz", "planar_triple", "qubit_mubs", "random_qubit_x4"])
+    TRIVIAL_PROJECTORS,
+], ids=["xz", "planar_triple", "qubit_mubs", "random_qubit_x4", "trivial_projectors"])
 def test_supremum_fixed_norm_matches_brute_force(observables, r):
     _assert_max_certificates(observables, StateConstraint.fixed_bloch_norm(r))
 
@@ -383,6 +394,36 @@ def test_fixed_norm_mid_radius_matches_closed_form():
     obs = planar_triple_observables(math.pi / 4)
     t, _ = infimum_t(obs, StateConstraint.fixed_bloch_norm(0.6), FAST)
     assert np.allclose(t.entries, qubit_planar_triple_t(math.pi / 4, 0.6).entries, atol=1e-6)
+
+
+@pytest.mark.parametrize("observables", [
+    standard_mub_set(2),
+    planar_triple_observables(0.4),
+    [random_orthonormal_basis(2, np.random.default_rng(i)) for i in range(4)],
+    TRIVIAL_PROJECTORS,
+], ids=["qubit_mubs", "planar_triple", "random_qubit_x4", "trivial_projectors"])
+def test_fixed_norm_minima_are_mapped_pure_minima(observables):
+    # rho_r = r |psi><psi| + (1 - r) I/2, so each level minimum at Bloch
+    # norm r is H_n + r (pure minimum - H_n), H_n the top-n sum of tr(Pi_k) / 2
+    cfg = SolverConfig(seed=5, multistarts=16, oracle_samples=20_000)
+    half = 0.5 * np.real(np.trace(_projector_stack(observables), axis1=1, axis2=2))
+    mixed = np.cumsum(np.sort(half)[::-1])[:-1]
+    _, certs = infimum_t(observables, StateConstraint.pure_only(), cfg)
+    pure = np.array([c.value for c in certs])
+    rng = np.random.default_rng(23)
+    for r in (0.0, 0.3, 0.7, 1.0):
+        constraint = StateConstraint.fixed_bloch_norm(r)
+        t, certs = infimum_t(observables, constraint, cfg)
+        values = np.array([c.value for c in certs])
+        assert np.max(np.abs(values - (mixed + r * (pure - mixed)))) <= 1e-9
+        # Bloch vectors of norm r, drawn here rather than by the library's sampler
+        s, _ = supremum_s(observables, constraint)
+        dirs = rng.standard_normal((20_000, 3))
+        dirs *= r / np.linalg.norm(dirs, axis=1)[:, None]
+        states = 0.5 * (I2 + np.einsum("sk,kij->sij", dirs, np.stack(PAULIS)))
+        prefix = sorted_prefix_matrix(observables, states)
+        assert np.all(prefix >= np.cumsum(t.entries)[None, :] - 1e-8)
+        assert np.all(prefix <= np.cumsum(s.entries)[None, :] + 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +554,6 @@ def test_solver_config_defaults():
 @pytest.mark.parametrize("observables, constraint", [
     (standard_mub_set(3), StateConstraint.all_states()),
     (standard_mub_set(3), StateConstraint.pure_only()),
-    (standard_mub_set(2), StateConstraint.fixed_bloch_norm(0.5)),
 ])
 @pytest.mark.parametrize("count", [1, _ORACLE_CHUNK - 1, _ORACLE_CHUNK + 1, 2 * _ORACLE_CHUNK + 123])
 def test_streamed_oracle_matches_full_tables(observables, constraint, count):
@@ -524,10 +564,9 @@ def test_streamed_oracle_matches_full_tables(observables, constraint, count):
         # as scripts/sandwich_sampling.py samples all states: the partial
         # trace of a Haar ket on C^d (x) C^d, drawn from the same normals
         # as the reference's Ginibre factors
-        oracle = _Oracle(np.kron(proj, np.eye(dim)), dim * dim, StateConstraint.pure_only(),
-                         count, np.random.default_rng(9))
+        oracle = _Oracle(np.kron(proj, np.eye(dim)), dim * dim, count, np.random.default_rng(9))
     else:
-        oracle = _Oracle(proj, dim, constraint, count, np.random.default_rng(9))
+        oracle = _Oracle(proj, dim, count, np.random.default_rng(9))
     minima, states = full_table_oracle(observables, constraint, count, 9)
     assert oracle.states.shape[0] == count
     for n in range(1, len(proj)):  # the solver's levels
@@ -549,8 +588,7 @@ def test_oracle_memory_is_the_draws():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        oracle = _Oracle(np.kron(proj, np.eye(6)), 36, StateConstraint.pure_only(), 100_000,
-                         np.random.default_rng(0))
+        oracle = _Oracle(np.kron(proj, np.eye(6)), 36, 100_000, np.random.default_rng(0))
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

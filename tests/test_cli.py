@@ -340,6 +340,53 @@ def test_choice_budget_rejects_before_solving(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def _write_bases(path, dim, bases):
+    entries = [{"name": f"b{i}", "basis": [[[z.real, z.imag] for z in row] for row in kets]}
+               for i, kets in enumerate(bases)]
+    path.write_text(json.dumps({"dimension": dim, "observables": entries}))
+    return str(path)
+
+
+def test_choice_tables_budget_rejects_before_solving(tmp_path, capsys, monkeypatch):
+    # one 20-outcome basis in d=20: level 10 has C(20, 10) = 184,756
+    # operators, under the per-level limit, but the k-subset sums of the
+    # basis for k <= 10 would take 16 * 20^2 * 616,666 bytes, about 3.9 GB
+    from uqcr import bounds, observable_from_basis, supremum_s
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the size guard must fire before any table is built")
+
+    monkeypatch.setattr(bounds, "infimum_t", no_solve)
+    monkeypatch.setattr(bounds, "_choice_tables", no_solve)
+    entries = sum(math.comb(20, k) for k in range(11))
+    with pytest.raises(bounds.EnumerationTooLarge, match=f"{entries} entries"):
+        supremum_s([observable_from_basis(np.eye(20))])
+    obs = _write_bases(tmp_path / "obs.json", 20, [np.eye(20)])
+    out = tmp_path / "o.json"
+    assert run(["bounds", "--observables", obs, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: --observables: L=20 outcomes: the subset tables have {entries} entries" in err
+    assert f"{16 * 20 * 20 * entries} bytes" in err
+    assert not out.exists()
+
+
+def test_fixed_bloch_norm_off_qubit_names_constraint(tmp_path, capsys, monkeypatch):
+    from uqcr import bounds, standard_mub_set
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the constraint must be checked before any solve")
+
+    monkeypatch.setattr(bounds, "infimum_t", no_solve)
+    obs = _write_bases(tmp_path / "obs.json", 3, [o.basis_vectors() for o in standard_mub_set(3)])
+    out = tmp_path / "o.json"
+    assert run(["bounds", "--observables", obs, "--constraint", "bloch=0.5",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: --constraint: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_solver_diverged_names_level_excess_and_settings(tmp_path, capsys, monkeypatch):
     # a local search that ends far above the sampling oracle's minimum
     from uqcr import bounds
@@ -381,15 +428,26 @@ def test_unknown_flag_is_input_error(capsys):
     assert run(["bounds", "--nonsense"]) == 1
 
 
-def test_determinism_byte_identical(tmp_path):
+def _assert_same_seed_bytes(tmp_path, observables, *flags):
     outs = []
     for name in ("a.json", "b.json"):
         out = tmp_path / name
         assert run(
-            ["bounds", "--observables", config("pauli_xz.json"), "--out", str(out), "--seed", "11"]
+            ["bounds", "--observables", config(observables), *flags, "--out", str(out),
+             "--seed", "11"]
         ) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_determinism_byte_identical(tmp_path):
+    _assert_same_seed_bytes(tmp_path, "pauli_xz.json")
+
+
+def test_determinism_byte_identical_fixed_norm(tmp_path):
+    # fixed-norm solves draw from the pure-state oracle and map to radius r
+    _assert_same_seed_bytes(tmp_path, "mub3_qubit.json", "--constraint", "bloch=0.5",
+                            "--multistarts", "16", "--oracle-samples", "20000")
 
 
 def test_env_seed_default(tmp_path, monkeypatch):

@@ -1,29 +1,40 @@
 import os
+import re
 import subprocess
 import sys
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
 
-def run_sandwich_sampling(*args):
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     return subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "sandwich_sampling.py"), *args],
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
 
 
 def test_sandwich_sampling_qutrit_mubs():
-    proc = run_sandwich_sampling("--config", "qutrit_mubs", "--samples", "2000")
+    proc = run_script("sandwich_sampling.py", "--config", "qutrit_mubs", "--samples", "2000")
     assert proc.returncode == 0, proc.stderr
     assert "lower violations: 0" in proc.stdout
 
 
 def test_sandwich_sampling_qubit_mubs_pure():
-    proc = run_sandwich_sampling("--config", "qubit_mubs", "--samples", "2000")
+    proc = run_script("sandwich_sampling.py", "--config", "qubit_mubs", "--samples", "2000")
     assert proc.returncode == 0, proc.stderr
     assert "lower violations: 0" in proc.stdout
     assert "upper violations: 0" in proc.stdout
+
+
+def test_reproduce_qubit_envelopes_matches_closed_forms(tmp_path):
+    proc = run_script("reproduce_qubit_envelopes.py", "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    deviations = re.findall(r"closed-form deviation: (\S+)", proc.stdout)
+    # tilted triple and qubit MUBs, pure and at Bloch norm 1/2
+    assert len(deviations) == 3
+    assert all(float(d) <= 1e-6 for d in deviations), deviations
+    assert "== qubit_mubs_bloch_0.5 (constraint: fixed_bloch_norm) ==" in proc.stdout
