@@ -136,10 +136,12 @@ class StateConstraint:
 class SolverDiagnostics:
     """Per-level solver record.
 
-    ``iterations``: LP solves over all states, Nelder-Mead evaluations
-    otherwise.  ``multistart_index``: over all states 0 is the maximally
-    mixed state, 1 the LP-multiplier state; otherwise the winning
-    Nelder-Mead start.  ``residual`` is the solver value less
+    ``iterations``: LP solves over all states; for pure and fixed-norm
+    qubit levels, the sphere scan's evaluations (starts x steps) plus the
+    polish's Nelder-Mead evaluations; in d >= 3, Nelder-Mead evaluations.
+    ``multistart_index``: over all states 0 is the maximally mixed state,
+    1 the LP-multiplier state; otherwise the winning start (0 is the
+    oracle's best ket).  ``residual`` is the solver value less
     ``oracle_min``, the sampling oracle's minimum; over all states no
     oracle runs, so they are 0.0 and None, as on max certificates.
     """
@@ -256,17 +258,36 @@ def _choice_tables(observables, top: int) -> list:
 
 def _choice_chunks(tables, n: int):
     """Level-n subset operators in chunks of ``_ORACLE_CHUNK``, in split
-    order, then ``itertools.product`` order: (split, table rows, operators)."""
+    order, then ``itertools.product`` order; consecutive splits share a
+    chunk.  Yields (pieces, operators), a piece (first operator, split,
+    table rows) per split the chunk holds; ``_chunk_rows`` looks one up."""
+    pieces, ops, size = [], [], 0
     for split in itertools.product(*(range(len(row)) for row in tables)):
         if sum(split) != n:
             continue
         parts = [row[k] for row, k in zip(tables, split)]
         shape = tuple(len(sets) for sets, _ in parts)
-        size = math.prod(shape)
-        for start in range(0, size, _ORACLE_CHUNK):
-            rows = np.unravel_index(np.arange(start, min(start + _ORACLE_CHUNK, size)), shape)
+        total = math.prod(shape)
+        start = 0
+        while start < total:
+            stop = min(total, start + _ORACLE_CHUNK - size)
+            rows = np.unravel_index(np.arange(start, stop), shape)
+            pieces.append((size, split, rows))
             # empty index sets add nothing; n >= 1 leaves a term
-            yield split, rows, sum(sums[r] for (_, sums), r, k in zip(parts, rows, split) if k)
+            ops.append(sum(sums[r] for (_, sums), r, k in zip(parts, rows, split) if k))
+            size += stop - start
+            start = stop
+            if size == _ORACLE_CHUNK:
+                yield pieces, np.concatenate(ops)
+                pieces, ops, size = [], [], 0
+    if size:
+        yield pieces, np.concatenate(ops)
+
+
+def _chunk_rows(pieces, i: int):
+    """Split and per-observable table rows of operator i of a chunk."""
+    first, split, rows = next(piece for piece in reversed(pieces) if piece[0] <= i)
+    return split, [r[i - first] for r in rows]
 
 
 def enumerate_choices(observables, n: int) -> list[ChoiceOperator]:
@@ -275,8 +296,13 @@ def enumerate_choices(observables, n: int) -> list[ChoiceOperator]:
     _check_level(n, _check_observables(observables)[1])
     check_choice_budget(observables, [n])
     tables = _choice_tables(observables, n)
-    return [ChoiceOperator(tuple(row[k][0][r[i]] for row, k, r in zip(tables, split, rows)), op, n)
-            for split, rows, ops in _choice_chunks(tables, n) for i, op in enumerate(ops)]
+    choices = []
+    for pieces, ops in _choice_chunks(tables, n):
+        for i, op in enumerate(ops):
+            split, rows = _chunk_rows(pieces, i)
+            choices.append(ChoiceOperator(
+                tuple(row[k][0][r] for row, k, r in zip(tables, split, rows)), op, n))
+    return choices
 
 
 def _choice_at(observables, proj: np.ndarray, state: np.ndarray, n: int) -> ChoiceOperator:
@@ -477,7 +503,61 @@ def _nm_multistart(objective, x0s, limit):
     return best_val, best_x, best_start, fevs
 
 
+def _tie_point(base: np.ndarray, wvecs: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
+    """The best of x and the exact local minima that the near-ties at x name.
+
+    With p = base + W x, let T hold the probabilities within delta of the
+    n-th largest, j its first, and A those above it.  If a local minimum
+    lies near x, the top-n sum there is sum_A p_k + (n - |A|) p_j on the
+    set where every probability of T equals p_j: an affine function of x
+    on a circle of the sphere (the minimum of g . y on it) or on two
+    points (the one nearer x), or on the whole sphere (-g / |g|).  Each
+    delta in 1e-3, 1e-5, 1e-7 proposes one point; the least top-n sum wins.
+    """
+    probs = base + wvecs @ x
+    edge = np.sort(probs)[-n]
+    best, best_val = x, _top_n_sum(probs, n)
+    for delta in (1e-3, 1e-5, 1e-7):
+        tied = np.flatnonzero(np.abs(probs - edge) <= delta)
+        above = probs > edge + delta
+        j, rest = tied[0], tied[1:]
+        grad = wvecs[above].sum(axis=0) + (n - above.sum()) * wvecs[j]
+        # the ties as (W_k - W_j) . y = base_j - base_k: least-norm solution
+        # y0 and the projector onto the null space, orthogonal to y0
+        eqs = wvecs[rest] - wvecs[j]
+        pinv = np.linalg.pinv(eqs, rtol=1e-10)
+        y0, null = pinv @ (base[j] - base[rest]), np.eye(3) - pinv @ eqs
+        step = null @ (x if round(np.trace(null)) == 1 else -grad)
+        room = 1.0 - y0 @ y0
+        if room < 0.0 or not np.linalg.norm(step) > 0.0:
+            continue
+        y = y0 + math.sqrt(room) * step / np.linalg.norm(step)
+        val = _top_n_sum(base + wvecs @ y, n)
+        if val < best_val:
+            best, best_val = y, val
+    return best
+
+
 def _min_level_bloch_sphere(proj, n, cfg, rng, oracle_state):
+    """Pure qubit level minimum: a batched subgradient scan on the Bloch
+    sphere, then one Nelder-Mead polish of the best start.
+
+    A pure state with unit Bloch vector x has Born probabilities
+    base + W x, so the top-n sum is a maximum of affine functions of x
+    and sum_{k in S} W_k over the current top-n set S is a subgradient.
+    Start 0 is the oracle's best ket, the others seeded random unit
+    vectors.  ``_ORACLE_CHUNK`` starts at a time step against the tangent
+    part of the subgradient, renormalising onto the sphere, and each
+    start keeps its best point: 50 steps of length 0.3 / sqrt(k + 1) to
+    explore, then 50 shrinking by 0.85 a step, which settle every start
+    close enough to its own local minimum that starts in different basins
+    compare by their minima.  The best start's near-ties are solved
+    exactly (``_tie_point``) and Nelder-Mead polishes the result in the
+    polar-angle chart.  Returns value, -inf (no dual), state, evaluations
+    (starts x steps plus the polish) and the index of the best start.
+    """
+    k = np.arange(100)
+    sizes = 0.3 / np.sqrt(np.minimum(k, 49) + 1) * 0.85 ** np.maximum(k - 49, 0)
     paulis = np.stack(PAULIS)
     base = 0.5 * np.real(np.trace(proj, axis1=-2, axis2=-1))
     wvecs = 0.5 * np.einsum("kij,mji->km", proj, paulis, optimize=True).real
@@ -489,17 +569,33 @@ def _min_level_bloch_sphere(proj, n, cfg, rng, oracle_state):
     def objective(ang):
         return float(_top_n_sum(base + wvecs @ bloch(ang), n))
 
-    r = np.array([np.real(np.trace(p @ oracle_state)) for p in paulis])
-    norm = np.linalg.norm(r)
-    if norm < 1e-12:
-        x0s = [np.array([0.5 * math.pi, 0.0])]
-    else:
-        r = r / norm
-        x0s = [np.array([math.acos(np.clip(r[2], -1, 1)), math.atan2(r[1], r[0])])]
-    while len(x0s) < cfg.multistarts:
-        x0s.append(np.array([math.acos(rng.uniform(-1, 1)), rng.uniform(-math.pi, math.pi)]))
-    best_val, best_x, best_start, fevs = _nm_multistart(objective, x0s, cfg.multistarts)
-    return best_val, -np.inf, bloch_to_density(bloch(best_x)).matrix, fevs, best_start
+    starts = np.empty((cfg.multistarts, 3))
+    starts[0] = np.einsum("mij,ji->m", paulis, oracle_state).real
+    rng.standard_normal(out=starts[1:])
+    starts /= np.linalg.norm(starts, axis=1)[:, None]
+    # each start's best point so far overwrites the start itself
+    best_val = np.full(cfg.multistarts, np.inf)
+    for lo in range(0, cfg.multistarts, _ORACLE_CHUNK):
+        points, vals = starts[lo:lo + _ORACLE_CHUNK], best_val[lo:lo + _ORACLE_CHUNK]
+        x = points.copy()
+        for size in sizes:
+            probs = base + x @ wvecs.T
+            top = np.argpartition(probs, -n, axis=1)[:, -n:]
+            value = np.take_along_axis(probs, top, axis=1).sum(axis=1)
+            better = value < vals
+            vals[better], points[better] = value[better], x[better]
+            grad = wvecs[top].sum(axis=1)
+            grad -= np.einsum("bi,bi->b", grad, x)[:, None] * x
+            # a zero tangent part (a smooth stationary point) leaves x in place
+            grad /= np.maximum(np.linalg.norm(grad, axis=1), 1e-300)[:, None]
+            x -= size * grad
+            x /= np.linalg.norm(x, axis=1)[:, None]
+    best_start = int(best_val.argmin())
+    r = _tie_point(base, wvecs, n, starts[best_start])
+    x0 = np.array([math.acos(np.clip(r[2], -1.0, 1.0)), math.atan2(r[1], r[0])])
+    res = optimize.minimize(objective, x0, method="Nelder-Mead", options=_NM_POLISH)
+    fevs = cfg.multistarts * len(sizes) + res.nfev
+    return float(res.fun), -np.inf, bloch_to_density(bloch(res.x)).matrix, fevs, best_start
 
 
 def _ket_from_chart(x: np.ndarray, dim: int) -> np.ndarray:
@@ -560,9 +656,10 @@ def _solve_min_level(observables, proj, n, constraint, cfg, rng, oracle):
         value, dual, state, iters, start = _min_level_all_states(proj, n, cfg)
         residual, oracle_min = 0.0, None
     else:
-        # pure and fixed-norm states: multistart Nelder-Mead over pure
-        # states on a chart, seeded and checked by the oracle; a fixed
-        # Bloch norm maps the solver's and the oracle's results to radius r
+        # pure and fixed-norm states: a multistart search over pure states
+        # (the Bloch sphere for qubits, a chart otherwise), seeded and
+        # checked by the oracle; a fixed Bloch norm maps the solver's and
+        # the oracle's results to radius r
         oracle_min, oracle_state = oracle.min_at(n)
         solve = _min_level_bloch_sphere if proj.shape[-1] == 2 else _min_level_pure_ket
         value, dual, state, iters, start = solve(proj, n, cfg, rng, oracle_state)
@@ -647,17 +744,17 @@ def _max_certificates(observables, levels, constraint: StateConstraint) -> list[
     certs = {}
     for n in sorted({min(n, total - n) for n in levels}):
         top, bottom = (-np.inf, None, None), (np.inf, None, None)
-        for split, rows, ops in _choice_chunks(tables, n):
+        for pieces, ops in _choice_chunks(tables, n):
             w = np.linalg.eigvalsh(ops)
             hi, lo = w[:, -1], w[:, 0]
-            if constraint.r is not None:  # many chunks are small: skip the trace
+            if constraint.r is not None:
                 half = 0.5 * np.real(np.trace(ops, axis1=-2, axis2=-1))
                 hi, lo = _at_radius(hi, half, constraint), _at_radius(lo, half, constraint)
             i, j = int(hi.argmax()), int(lo.argmin())
             if hi[i] > top[0]:
-                top = (hi[i], split, [r[i] for r in rows])
+                top = (hi[i], *_chunk_rows(pieces, i))
             if lo[j] < bottom[0]:
-                bottom = (lo[j], split, [r[j] for r in rows])
+                bottom = (lo[j], *_chunk_rows(pieces, j))
         # at n = L/2 both ends are one level, and its own maximum wins
         for level, (_, split, rows), complement in ((total - n, bottom, True), (n, top, False)):
             sets = [row[k][0][i].tolist() for row, k, i in zip(tables, split, rows)]

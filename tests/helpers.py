@@ -260,3 +260,30 @@ def product_order_index_sets(observables, n):
             *(itertools.combinations(range(c), k) for c, k in zip(counts, split))
         )
     return sets
+
+
+def fibonacci_sphere(count):
+    """``count`` unit vectors on a Fibonacci lattice of the sphere, shape (count, 3)."""
+    k = np.arange(count) + 0.5
+    z = 1.0 - 2.0 * k / count
+    azimuth = math.pi * (3.0 - math.sqrt(5.0)) * k
+    rho = np.sqrt(1.0 - z * z)
+    return np.stack([rho * np.cos(azimuth), rho * np.sin(azimuth), z], axis=1)
+
+
+def grid_pure_qubit_minima(observables, count=200_000, chunk=20_000):
+    """Per-level minima of the top-n sum over the pure qubit states whose
+    Bloch vectors form a Fibonacci lattice of ``count`` points.
+
+    Reference for the pure qubit solve: every state is built as a density
+    matrix and every level read from its sorted prefix sums.
+    """
+    paulis = np.stack([np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                       np.array([[1, 0], [0, -1]])]).astype(complex)
+    vectors = fibonacci_sphere(count)
+    minima = None
+    for start in range(0, count, chunk):
+        states = 0.5 * (np.eye(2) + np.einsum("sk,kij->sij", vectors[start:start + chunk], paulis))
+        prefix = sorted_prefix_matrix(observables, states).min(axis=0)
+        minima = prefix if minima is None else np.minimum(minima, prefix)
+    return minima[:-1]

@@ -32,6 +32,8 @@ from uqcr.bounds import (
     StateConstraint,
     _ORACLE_CHUNK,
     _Oracle,
+    _choice_chunks,
+    _choice_tables,
     _kelley_dual_bound,
     _projector_stack,
     planar_triple_observables,
@@ -42,6 +44,7 @@ from helpers import (
     brute_level_maxima,
     coarse_grained_basis,
     full_table_oracle,
+    grid_pure_qubit_minima,
     kelley_choice_dual,
     prefix_majorized,
     product_order_index_sets,
@@ -341,6 +344,27 @@ def test_max_topn_levels_match_supremum():
         assert single.achieving_choice.index_sets == cert.achieving_choice.index_sets
 
 
+@pytest.mark.parametrize("observables", [
+    standard_mub_set(3),
+    [random_orthonormal_basis(4, np.random.default_rng(16)) for _ in range(4)],
+    [coarse_grained_basis(4, (2, 1, 1), np.random.default_rng(i)) for i in range(3)],
+], ids=["qutrit_mubs", "haar_d4x4", "coarse_d4x3"])
+def test_choice_chunks_pack_splits(observables):
+    # consecutive splits share chunks: every chunk but a level's last is
+    # full, and each operator's (split, rows) piece names its own sum
+    total = sum(o.outcome_count for o in observables)
+    tables = _choice_tables(observables, total // 2)
+    for n in range(1, total // 2 + 1):
+        chunks = list(_choice_chunks(tables, n))
+        assert len(chunks) == -(-math.comb(total, n) // _ORACLE_CHUNK)
+        assert all(len(ops) == _ORACLE_CHUNK for _, ops in chunks[:-1])
+        for pieces, ops in chunks:
+            for first, split, rows in pieces:
+                for i, r in enumerate(zip(*rows)):
+                    parts = [row[k][1][j] for row, k, j in zip(tables, split, r) if k]
+                    assert np.array_equal(ops[first + i], sum(parts))
+
+
 def test_supremum_memory_is_one_chunk():
     # the sweep streams each level in chunks; four Haar bases in d=4 have
     # C(16, 8) = 12,870 operators at level 8 and 65,534 in all
@@ -424,6 +448,83 @@ def test_fixed_norm_minima_are_mapped_pure_minima(observables):
         prefix = sorted_prefix_matrix(observables, states)
         assert np.all(prefix >= np.cumsum(t.entries)[None, :] - 1e-8)
         assert np.all(prefix <= np.cumsum(s.entries)[None, :] + 1e-8)
+
+
+QUBIT_SETS = {
+    "qubit_mubs": standard_mub_set(2),
+    "planar_triple_0.4": planar_triple_observables(0.4),
+    "planar_triple_pi/4": planar_triple_observables(math.pi / 4),
+    **{f"random_axes_{seed}": [
+        observable_from_bloch_axis(tuple(np.random.default_rng(seed).standard_normal((4, 3))[i]))
+        for i in range(2 + seed % 3)] for seed in (*range(6), 14)},
+}
+
+
+@pytest.mark.parametrize("observables", QUBIT_SETS.values(), ids=QUBIT_SETS.keys())
+def test_pure_qubit_levels_reach_the_grid_minimum(observables):
+    # no local minimum the solver stops in lies above the best of 200k
+    # Bloch-sphere lattice points; at seed 14 a scan of 50 steps of
+    # 0.3 / sqrt(k + 1) alone picks a start 1.3e-3 above that
+    cfg = SolverConfig(seed=5, multistarts=16, oracle_samples=20_000)
+    _, certs = infimum_t(observables, StateConstraint.pure_only(), cfg)
+    grid = grid_pure_qubit_minima(observables)
+    assert np.all(np.array([c.value for c in certs]) <= grid + 1e-12)
+
+
+@pytest.mark.parametrize("r", [None, 0.3, 0.7])
+@pytest.mark.parametrize("observables, closed", [
+    (standard_mub_set(2), qubit_mub_t),
+    (planar_triple_observables(0.4), lambda r: qubit_planar_triple_t(0.4, r)),
+    (planar_triple_observables(math.pi / 4), lambda r: qubit_planar_triple_t(math.pi / 4, r)),
+], ids=["qubit_mubs", "planar_triple_0.4", "planar_triple_pi/4"])
+def test_pure_qubit_closed_forms_across_starts_and_seeds(observables, closed, r):
+    constraint = StateConstraint.pure_only() if r is None else StateConstraint.fixed_bloch_norm(r)
+    expected = closed(1.0 if r is None else r).entries
+    for multistarts in (1, 4, 16):
+        for seed in range(5):
+            cfg = SolverConfig(seed=seed, multistarts=multistarts, oracle_samples=20_000)
+            t, certs = infimum_t(observables, constraint, cfg)
+            assert np.max(np.abs(t.entries - expected)) <= 1e-9
+        t2, certs2 = infimum_t(observables, constraint, cfg)
+        assert np.array_equal(t.entries, t2.entries)
+        for c1, c2 in zip(certs, certs2, strict=True):
+            assert c1.value == c2.value
+            assert np.array_equal(c1.achieving_state.matrix, c2.achieving_state.matrix)
+            assert c1.achieving_choice.index_sets == c2.achieving_choice.index_sets
+            assert c1.diagnostics == c2.diagnostics
+
+
+def test_tie_point_lands_on_the_mub_vertex():
+    # level 1 of the qubit MUBs is least where the three largest
+    # probabilities tie, at the Bloch vectors (+-1, +-1, +-1) / sqrt 3
+    from uqcr.bounds import _tie_point
+
+    proj = _projector_stack(standard_mub_set(2))
+    base = 0.5 * np.real(np.trace(proj, axis1=1, axis2=2))
+    wvecs = 0.5 * np.einsum("kij,mji->km", proj, np.stack(PAULIS)).real
+    vertex = np.ones(3) / math.sqrt(3)
+    near = vertex + 1e-5 * np.array([1.0, -2.0, 0.5])
+    y = _tie_point(base, wvecs, 1, near / np.linalg.norm(near))
+    assert np.max(np.abs(y - vertex)) <= 1e-15
+    assert np.max(base + wvecs @ y) == pytest.approx(MUB_HI, abs=1e-15)
+
+
+def test_sphere_scan_memory_is_one_chunk():
+    # the scan walks its starts in chunks: three chunks of starts take
+    # time, not three chunks of working memory
+    def peak(multistarts):
+        cfg = SolverConfig(seed=1, multistarts=multistarts, oracle_samples=1_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cert = min_topn_over_states(standard_mub_set(2), 3, StateConstraint.pure_only(), cfg)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.diagnostics.iterations > 50 * multistarts
+        return top - before
+
+    assert peak(3 * _ORACLE_CHUNK) <= 1.5 * peak(_ORACLE_CHUNK)
 
 
 # ---------------------------------------------------------------------------

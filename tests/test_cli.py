@@ -391,10 +391,10 @@ def test_solver_diverged_names_level_excess_and_settings(tmp_path, capsys, monke
     # a local search that ends far above the sampling oracle's minimum
     from uqcr import bounds
 
-    def stuck(objective, x0s, limit):
-        return 2.5, x0s[0], 0, 1
+    def stuck(proj, n, cfg, rng, oracle_state):
+        return 2.5, -math.inf, oracle_state, 1, 0
 
-    monkeypatch.setattr(bounds, "_nm_multistart", stuck)
+    monkeypatch.setattr(bounds, "_min_level_bloch_sphere", stuck)
     out = tmp_path / "o.json"
     code = run(
         [
