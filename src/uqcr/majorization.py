@@ -59,8 +59,8 @@ class ProbVector:
             raise ValueError("entries must form a non-empty 1-d sequence")
         if float(arr.min(initial=0.0)) < -ENTRY_TOL:
             raise NegativeEntry(f"entry {arr.min():.3e} is below zero")
-        np.clip(arr, 0.0, None, out=arr)
-        if arr.size > 1 and np.any(arr[1:] > arr[:-1] + 1e-11):
+        arr.clip(0.0, None, out=arr)
+        if (arr[1:] > arr[:-1] + 1e-11).any():
             raise ValueError("entries must be non-increasing")
         if float(arr.max(initial=0.0)) > self.total + SUM_TOL:
             raise ValueError("entries must not exceed the total")
@@ -68,9 +68,12 @@ class ProbVector:
             raise SumMismatch(
                 f"sum {arr.sum()!r} differs from total {self.total!r}"
             )
+        sums = np.cumsum(arr)
         arr.setflags(write=False)
+        sums.setflags(write=False)
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "total", float(self.total))
+        object.__setattr__(self, "_prefix_sums", sums)
 
     def __len__(self) -> int:
         return int(self.entries.size)
@@ -79,8 +82,8 @@ class ProbVector:
         return iter(self.entries.tolist())
 
     def prefix_sums(self) -> np.ndarray:
-        """Cumulative sums L_1..L_len (no leading zero)."""
-        return np.cumsum(self.entries)
+        """Cumulative sums L_1..L_len (no leading zero), computed once; read-only."""
+        return self._prefix_sums
 
     def padded(self, length: int) -> "ProbVector":
         """Zero-pad to ``length`` entries; the total is unchanged."""
@@ -104,9 +107,10 @@ class LorenzCurve:
             raise ValueError("Lorenz curve must start at zero")
         if abs(arr[-1] - self.total) > SUM_TOL:
             raise ValueError("Lorenz curve must end at the total")
-        if np.any(np.diff(arr) < -1e-11):
+        steps = np.diff(arr)
+        if (steps < -1e-11).any():
             raise ValueError("Lorenz curve must be non-decreasing")
-        if np.any(np.diff(np.diff(arr)) > 1e-9):
+        if (np.diff(steps) > 1e-9).any():
             raise ValueError("Lorenz curve increments must be non-increasing")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -139,17 +143,17 @@ def from_unsorted(raw, total: float = 1.0) -> ProbVector:
     return ProbVector(arr, total)
 
 
-def _pad_common(a: ProbVector, b: ProbVector) -> tuple[np.ndarray, np.ndarray, float]:
+def _pad_common(a: ProbVector, b: ProbVector) -> tuple[ProbVector, ProbVector]:
     if abs(a.total - b.total) > SUM_TOL:
         raise TotalMismatch(f"totals {a.total!r} and {b.total!r} differ")
     n = max(len(a), len(b))
-    return a.padded(n).entries, b.padded(n).entries, a.total
+    return a.padded(n), b.padded(n)
 
 
 def is_majorized_by(a: ProbVector, b: ProbVector, tol: float = CMP_TOL) -> bool:
     """True iff every prefix sum of ``a`` is at most that of ``b``."""
-    ea, eb, _ = _pad_common(a, b)
-    return bool(np.all(np.cumsum(ea) <= np.cumsum(eb) + tol))
+    pa, pb = _pad_common(a, b)
+    return bool((pa.prefix_sums() <= pb.prefix_sums() + tol).all())
 
 
 def meet(a: ProbVector, b: ProbVector) -> ProbVector:
@@ -241,10 +245,10 @@ def relative_entropy_term(t: ProbVector, p: ProbVector, unit: str = "bits") -> f
     Raises SupportMismatch when some t_i > 0 sits on P_i = 0.  For equal
     totals the value is non-negative by the log-sum inequality.
     """
-    et, ep, _ = _pad_common(t, p)
+    et, ep = (v.entries for v in _pad_common(t, p))
     base = _LOG_BASE[unit]
     mask = et > 0.0
-    if np.any(ep[mask] <= 0.0):
+    if (ep[mask] <= 0.0).any():
         raise SupportMismatch("weight entry t_i > 0 where P_i = 0")
     wt, wp = et[mask], ep[mask]
     return float((wt * (np.log(wt / wp) / math.log(base))).sum())

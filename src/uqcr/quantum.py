@@ -8,6 +8,7 @@ parametrization and Hilbert-Schmidt random sampling live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -133,6 +134,13 @@ class ProjectiveObservable:
     def outcome_count(self) -> int:
         return len(self.projectors)
 
+    @cached_property
+    def projector_rows(self) -> np.ndarray:
+        """Read-only (K, d^2) block, row i = vec(conj P_i): a row times vec(rho) is Tr[P_i rho]."""
+        rows = np.stack(self.projectors).conj().reshape(len(self.projectors), -1)
+        rows.setflags(write=False)
+        return rows
+
     @property
     def is_rank_one(self) -> bool:
         return all(abs(np.real(p.trace()) - 1.0) <= 1e-9 for p in self.projectors)
@@ -153,13 +161,9 @@ class ProjectiveObservable:
 
 def born_probabilities(obs, rho: DensityMatrix) -> np.ndarray:
     """Outcome probabilities Tr[P_i rho], clamped into [0, 1]."""
-    ops = obs.projectors
-    if ops[0].shape[0] != rho.dim:
-        raise DimensionMismatch(
-            f"observable dim {ops[0].shape[0]} vs state dim {rho.dim}"
-        )
-    probs = np.array([float(np.real(np.trace(op @ rho.matrix))) for op in ops])
-    return np.clip(probs, 0.0, 1.0)
+    if obs.dim != rho.dim:
+        raise DimensionMismatch(f"observable dim {obs.dim} vs state dim {rho.dim}")
+    return (obs.projector_rows @ rho.matrix.ravel()).real.clip(0.0, 1.0)
 
 
 def is_mub_pair(a: ProjectiveObservable, b: ProjectiveObservable, tol: float = 1e-10) -> bool:
@@ -168,13 +172,9 @@ def is_mub_pair(a: ProjectiveObservable, b: ProjectiveObservable, tol: float = 1
         raise DimensionMismatch("bases must share one dimension")
     if not (a.is_rank_one and b.is_rank_one):
         raise NotRankOne("mutual unbiasedness is defined for rank-1 bases")
-    target = 1.0 / np.sqrt(a.dim)
-    for pa in a.projectors:
-        for pb in b.projectors:
-            overlap = np.sqrt(max(float(np.real(np.trace(pa @ pb))), 0.0))
-            if abs(overlap - target) > tol:
-                return False
-    return True
+    # |<a|b>|^2 = Tr[P_a P_b] for every pair at once, from the projector rows
+    overlaps = np.sqrt(np.maximum((a.projector_rows.conj() @ b.projector_rows.T).real, 0.0))
+    return bool(np.all(np.abs(overlaps - 1.0 / np.sqrt(a.dim)) <= tol))
 
 
 def bloch_to_density(r) -> DensityMatrix:

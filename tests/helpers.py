@@ -11,6 +11,7 @@ import numpy as np
 from scipy import optimize
 
 from uqcr import (
+    CertaintyReport,
     ProbVector,
     ProjectiveObservable,
     from_unsorted,
@@ -22,6 +23,7 @@ from uqcr import (
 )
 from uqcr import bounds as bd
 from uqcr import majorization as mj
+from uqcr.quantum import DimensionMismatch
 
 
 def prefix_majorized(a, b, tol=1e-10):
@@ -287,3 +289,39 @@ def grid_pure_qubit_minima(observables, count=200_000, chunk=20_000):
         prefix = sorted_prefix_matrix(observables, states).min(axis=0)
         minima = prefix if minima is None else np.minimum(minima, prefix)
     return minima[:-1]
+
+
+def loop_born_probabilities(obs, rho):
+    """Tr[P_i rho] one projector at a time, clamped into [0, 1]."""
+    if obs.dim != rho.dim:
+        raise DimensionMismatch(f"observable dim {obs.dim} vs state dim {rho.dim}")
+    probs = np.array([float(np.real(np.trace(op @ rho.matrix))) for op in obs.projectors])
+    return np.clip(probs, 0.0, 1.0)
+
+
+def reference_certify_state(observables, rho, bounds_pair, unit="bits"):
+    """Per-observable certainty report: the reference for ``certify_state``.
+
+    One sorted, validated PDV per observable, then their direct sum, two
+    loop-based padded order checks and one entropy per observable.
+    """
+    observables = list(observables)
+    t, s = bounds_pair
+    for obs in observables:
+        if obs.dim != rho.dim:
+            raise DimensionMismatch(f"observable dim {obs.dim} vs state dim {rho.dim}")
+    pdvs = [from_unsorted(loop_born_probabilities(obs, rho), 1.0) for obs in observables]
+    P = mj.direct_sum(pdvs)
+    lower_ok, upper_ok = prefix_majorized(t, P), prefix_majorized(P, s)
+    entropy_sum = float(sum(mj.shannon_entropy(p, unit) for p in pdvs))
+    entropy_cap = mj.shannon_entropy(t, unit)
+    try:
+        tightened_cap = entropy_cap - mj.relative_entropy_term(P, t, unit)
+    except mj.SupportMismatch:
+        tightened_cap = None
+    slack = {
+        "cap_minus_sum": entropy_cap - entropy_sum,
+        "tightened_minus_sum": None if tightened_cap is None else tightened_cap - entropy_sum,
+    }
+    return CertaintyReport(P, t, s, (lower_ok, upper_ok), entropy_sum, entropy_cap,
+                           tightened_cap, slack, unit)

@@ -199,9 +199,24 @@ def test_lorenz_examples():
     assert np.allclose(lorenz(pv(1.0, 0.0)).values, [0.0, 1.0, 1.0])
 
 
+def test_prefix_sums_are_cached_and_read_only():
+    p = pv(0.5, 0.3, 0.2)
+    sums = p.prefix_sums()
+    assert p.prefix_sums() is sums
+    np.testing.assert_allclose(sums, [0.5, 0.8, 1.0], rtol=0.0, atol=1e-15)
+    with pytest.raises(ValueError):
+        sums[0] = 0.0
+
+
 def test_lorenz_curve_validation():
     with pytest.raises(ValueError):
         LorenzCurve(np.array([0.0, 0.2, 1.0]), 1.0)  # convex increments
+    with pytest.raises(ValueError):
+        LorenzCurve(np.array([0.1, 0.7, 1.0]), 1.0)  # does not start at zero
+    with pytest.raises(ValueError):
+        LorenzCurve(np.array([0.0, 0.7, 0.9]), 1.0)  # does not end at the total
+    with pytest.raises(ValueError):
+        LorenzCurve(np.array([0.0, 1.2, 1.0]), 1.0)  # decreasing
 
 
 # ---------------------------------------------------------------------------

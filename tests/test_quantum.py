@@ -27,7 +27,7 @@ from uqcr.quantum import (
     random_ket,
 )
 
-from helpers import random_orthonormal_basis
+from helpers import coarse_grained_basis, loop_born_probabilities, random_orthonormal_basis
 
 
 def test_density_validation():
@@ -88,6 +88,25 @@ def test_born_normalization_bulk(rng):
         assert abs(probs.sum() - 1.0) <= 1e-9
     with pytest.raises(DimensionMismatch):
         born_probabilities(pauli_observable("x"), DensityMatrix.maximally_mixed(3))
+
+
+def test_born_matches_per_projector_trace(rng):
+    for _ in range(200):
+        dim = int(rng.integers(2, 6))
+        obs = (coarse_grained_basis(dim, (dim - 1, 1), rng) if rng.integers(2)
+               else random_orthonormal_basis(dim, rng))
+        rho = random_density(dim, int(rng.integers(1, dim + 1)), rng)
+        np.testing.assert_allclose(born_probabilities(obs, rho), loop_born_probabilities(obs, rho),
+                                   rtol=0.0, atol=1e-15)
+
+
+def test_projector_rows_are_cached_and_read_only():
+    obs = standard_mub_set(3)[1]
+    rows = obs.projector_rows
+    assert rows.shape == (3, 9) and obs.projector_rows is rows
+    np.testing.assert_array_equal(rows, np.stack(obs.projectors).conj().reshape(3, 9))
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0.0
 
 
 def test_projector_eigenstate_indicator(rng):
