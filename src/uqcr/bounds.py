@@ -15,8 +15,13 @@ observables; at most ``CHOICE_OPERATOR_LIMIT`` per level).  The
 complement of S is a level-(L - n) choice with operator M I - C_S, so
 one ``eigvalsh`` sweep over each level n <= L/2, streamed in chunks,
 gives the maxima of levels n and L - n; flattening the maxima with the
-least concave majorant assembles the least upper bound ``s``.  Pure
-minima have no such certificate: there a sampling oracle streams random
+least concave majorant assembles the least upper bound ``s``.
+
+Pure qubit minima are exact, the least value over the candidates an arc
+walk over the tie circles lists (``_pure_qubit_levels``); there
+``iterations`` counts the candidates and ``multistart_index`` is the
+winner's kind (0 a cell point, 1 a circle point, 2 a crossing).  Pure
+minima in d >= 3 have no certificate: a sampling oracle streams random
 kets in chunks, keeps each level's smallest top-n sum and its state, and
 seeds and checks every local minimum.
 
@@ -61,7 +66,9 @@ class LevelOutOfRange(UqcrError):
 
 
 class SolverDiverged(UqcrError):
-    """A pure or fixed-norm level minimum exceeds the sampling oracle's by more than tol."""
+    """A pure level minimum in d >= 3 exceeds the sampling oracle's by more than tol.
+
+    Qubit levels are solved exactly and never raise it."""
 
 
 class EnumerationTooLarge(UqcrError):
@@ -75,8 +82,8 @@ CHOICE_OPERATOR_LIMIT = 1 << 24
 # bytes the sweep's per-observable tables of summed projectors may take
 CHOICE_TABLE_BYTES = 1 << 30
 
-# oracle samples or subset operators per chunk: one GEMM or batched
-# eigvalsh amortises its call overhead while the chunk stays a few MB
+# oracle samples, subset operators or qubit arcs per chunk: one GEMM or
+# batched eigvalsh amortises its call overhead while the chunk stays a few MB
 _ORACLE_CHUNK = 4096
 
 
@@ -85,9 +92,9 @@ class SolverConfig:
     """Knobs for the min-max solver; all runs are deterministic per seed."""
 
     max_iter: int = 80  # cutting-plane LPs per level over all states
-    multistarts: int = 64  # pure and fixed-norm states only
+    multistarts: int = 64  # pure states in d >= 3 only
     tol: float = 1e-7
-    oracle_samples: int = 100_000  # pure and fixed-norm states only
+    oracle_samples: int = 100_000  # pure states in d >= 3 only
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -136,14 +143,15 @@ class StateConstraint:
 class SolverDiagnostics:
     """Per-level solver record.
 
-    ``iterations``: LP solves over all states; for pure and fixed-norm
-    qubit levels, the sphere scan's evaluations (starts x steps) plus the
-    polish's Nelder-Mead evaluations; in d >= 3, Nelder-Mead evaluations.
-    ``multistart_index``: over all states 0 is the maximally mixed state,
-    1 the LP-multiplier state; otherwise the winning start (0 is the
-    oracle's best ket).  ``residual`` is the solver value less
-    ``oracle_min``, the sampling oracle's minimum; over all states no
-    oracle runs, so they are 0.0 and None, as on max certificates.
+    ``iterations``: LP solves over all states; candidate points for pure
+    and fixed-norm qubit levels (one count for all levels); Nelder-Mead
+    evaluations for pure states in d >= 3.  ``multistart_index``: over all
+    states 0 is the maximally mixed state, 1 the LP-multiplier state; for
+    qubits the winning candidate's kind (0 a cell point, 1 a circle point,
+    2 a crossing); in d >= 3 the winning start (0 is the oracle's best
+    ket).  ``residual`` is the solver value less ``oracle_min``, the
+    sampling oracle's minimum; only pure levels in d >= 3 run the oracle,
+    so elsewhere they are 0.0 and None, as on max certificates.
     """
 
     iterations: int
@@ -321,7 +329,7 @@ def top_n_sum(p: mj.ProbVector, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pure-state sampling (the oracle side of the pure and fixed-norm solves)
+# pure-state sampling (the oracle side of the pure solve in d >= 3)
 
 def _at_radius(x, x0, constraint: StateConstraint):
     """x0 + r (x - x0) at a fixed Bloch norm r, else x unchanged.
@@ -342,8 +350,7 @@ class _Oracle:
     ``_ORACLE_CHUNK``.  With W_k the orthonormal rows of Pi_k
     (Pi_k = W_k^dag W_k), the Born probability of a ket g is
     |W_k g|^2 / |g|^2: one real GEMM per chunk with the kets along the
-    columns.  Fixed-norm qubit states need no draws of their own (see
-    ``_at_radius``).  Hilbert-Schmidt states, partial traces of Haar kets
+    columns.  Hilbert-Schmidt states, partial traces of Haar kets
     on C^d (x) C^d, come from the pure oracle of the projectors Pi_k (x) I.
     """
 
@@ -469,7 +476,7 @@ def _min_level_all_states(proj: np.ndarray, n: int, cfg: SolverConfig):
     Candidates: the maximally mixed state (start index 0) and the Kelley
     LP-multiplier state (1); the smaller top-n sum wins.  Kelley's target
     is the mixed state's value less the gap tolerance.  Returns primal
-    value, certified lower bound, state, LP solves, start index.
+    value, certified lower bound, state and diagnostics.
     """
     dim = proj.shape[-1]
     gap_tol = max(1e-12, min(cfg.tol, 1e-9))
@@ -480,7 +487,8 @@ def _min_level_all_states(proj: np.ndarray, n: int, cfg: SolverConfig):
         states.append(lp_state)
         values.append(_top_n_sum(_born(lp_state[None], proj), n)[0])
     i = int(np.argmin(values))
-    return float(values[i]), f_lb, states[i], lps, i
+    value = float(values[i])
+    return value, f_lb, states[i], SolverDiagnostics(lps, i, 0.0, float(value - f_lb))
 
 
 _NM_SCAN = {"xatol": 1e-8, "fatol": 1e-10, "maxiter": 800, "maxfev": 1600}
@@ -503,99 +511,116 @@ def _nm_multistart(objective, x0s, limit):
     return best_val, best_x, best_start, fevs
 
 
-def _tie_point(base: np.ndarray, wvecs: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
-    """The best of x and the exact local minima that the near-ties at x name.
+def _pure_qubit_levels(proj: np.ndarray, levels, constraint: StateConstraint):
+    """Exact level minima of the top-n sum over pure qubit states, mapped to
+    a fixed Bloch norm by ``_at_radius``.
 
-    With p = base + W x, let T hold the probabilities within delta of the
-    n-th largest, j its first, and A those above it.  If a local minimum
-    lies near x, the top-n sum there is sum_A p_k + (n - |A|) p_j on the
-    set where every probability of T equals p_j: an affine function of x
-    on a circle of the sphere (the minimum of g . y on it) or on two
-    points (the one nearer x), or on the whole sphere (-g / |g|).  Each
-    delta in 1e-3, 1e-5, 1e-7 proposes one point; the least top-n sum wins.
+    At Bloch vector x the level-n value is the largest base_S + g_S . x
+    over n-sets S, g_S the sum of W_k over S.  Where the ties at a
+    minimiser hold the value is affine, so the minimiser is a cell point
+    -g_S / |g_S|, a circle point (the least g_S . y on a tie circle) or a
+    crossing of two tie circles; all lie on the sphere and serve every
+    level.  Outcomes j, k tie on the plane (W_j - W_k) . x = base_k -
+    base_j, kept once (rank-1 outcomes tie in pairs, x+ = y+ where x- =
+    y-) if it cuts a circle of radius over 1e-7; a smaller one moves no
+    top-n sum by more than rounding.  Sets change only across the arcs
+    between crossings: an arc midpoint nudged 1e-7 to either side names
+    the sets S+ and S- beside it, and where their g differ the arc offers
+    both cell points and S+'s circle point; the cells of (0, 0, 1) cover
+    levels whose set never changes.  A g with no part along the sphere
+    (the circle) leaves the value constant there, and the nudged point
+    (the midpoint) stands in.  The winner's kind is 0 cell, 1 circle or 2
+    crossing; crossings come first and the earlier candidate wins a tie.
     """
-    probs = base + wvecs @ x
-    edge = np.sort(probs)[-n]
-    best, best_val = x, _top_n_sum(probs, n)
-    for delta in (1e-3, 1e-5, 1e-7):
-        tied = np.flatnonzero(np.abs(probs - edge) <= delta)
-        above = probs > edge + delta
-        j, rest = tied[0], tied[1:]
-        grad = wvecs[above].sum(axis=0) + (n - above.sum()) * wvecs[j]
-        # the ties as (W_k - W_j) . y = base_j - base_k: least-norm solution
-        # y0 and the projector onto the null space, orthogonal to y0
-        eqs = wvecs[rest] - wvecs[j]
-        pinv = np.linalg.pinv(eqs, rtol=1e-10)
-        y0, null = pinv @ (base[j] - base[rest]), np.eye(3) - pinv @ eqs
-        step = null @ (x if round(np.trace(null)) == 1 else -grad)
-        room = 1.0 - y0 @ y0
-        if room < 0.0 or not np.linalg.norm(step) > 0.0:
-            continue
-        y = y0 + math.sqrt(room) * step / np.linalg.norm(step)
-        val = _top_n_sum(base + wvecs @ y, n)
-        if val < best_val:
-            best, best_val = y, val
-    return best
-
-
-def _min_level_bloch_sphere(proj, n, cfg, rng, oracle_state):
-    """Pure qubit level minimum: a batched subgradient scan on the Bloch
-    sphere, then one Nelder-Mead polish of the best start.
-
-    A pure state with unit Bloch vector x has Born probabilities
-    base + W x, so the top-n sum is a maximum of affine functions of x
-    and sum_{k in S} W_k over the current top-n set S is a subgradient.
-    Start 0 is the oracle's best ket, the others seeded random unit
-    vectors.  ``_ORACLE_CHUNK`` starts at a time step against the tangent
-    part of the subgradient, renormalising onto the sphere, and each
-    start keeps its best point: 50 steps of length 0.3 / sqrt(k + 1) to
-    explore, then 50 shrinking by 0.85 a step, which settle every start
-    close enough to its own local minimum that starts in different basins
-    compare by their minima.  The best start's near-ties are solved
-    exactly (``_tie_point``) and Nelder-Mead polishes the result in the
-    polar-angle chart.  Returns value, -inf (no dual), state, evaluations
-    (starts x steps plus the polish) and the index of the best start.
-    """
-    k = np.arange(100)
-    sizes = 0.3 / np.sqrt(np.minimum(k, 49) + 1) * 0.85 ** np.maximum(k - 49, 0)
-    paulis = np.stack(PAULIS)
     base = 0.5 * np.real(np.trace(proj, axis1=-2, axis2=-1))
-    wvecs = 0.5 * np.einsum("kij,mji->km", proj, paulis, optimize=True).real
+    wvecs = 0.5 * np.einsum("kij,mji->km", proj, np.stack(PAULIS), optimize=True).real
+    j, k = np.triu_indices(len(base), 1)
+    normal, offset = wvecs[j] - wvecs[k], base[k] - base[j]
+    size = np.linalg.norm(normal, axis=1)
+    keep = (size > 1e-12) & (offset * offset < (1.0 - 1e-14) * size * size)
+    normal, offset = normal[keep] / size[keep, None], offset[keep] / size[keep]
+    # the first clear entry of a normal sets its sign, so coincident planes round alike
+    sign = np.sign(normal[np.arange(len(offset)), np.argmax(np.abs(normal) > 1e-9, axis=1)])
+    _, keep = np.unique(np.round(sign[:, None] * np.column_stack([normal, offset]), 12),
+                        axis=0, return_index=True)
+    normal, offset = normal[np.sort(keep)], offset[np.sort(keep)]
+    # two planes meet on the line alpha u_a + beta u_b + s (u_a x u_b); parallel ones never
+    a, b = np.triu_indices(len(offset), 1)
+    line = np.cross(normal[a], normal[b])
+    sin2 = np.einsum("ij,ij->i", line, line)
+    cos = np.einsum("ij,ij->i", normal[a], normal[b])
+    alpha = (offset[a] - cos * offset[b]) / np.maximum(sin2, 1e-300)
+    beta = (offset[b] - cos * offset[a]) / np.maximum(sin2, 1e-300)
+    room = 1.0 - alpha * offset[a] - beta * offset[b]
+    hit = (sin2 > 1e-20) & (room >= 0.0)
+    a, b = a[hit], b[hit]
+    foot = alpha[hit, None] * normal[a] + beta[hit, None] * normal[b]
+    step = np.sqrt(room[hit] / sin2[hit])[:, None] * line[hit]
+    crossings = np.concatenate([foot + step, foot - step])
+    # the crossings' angles in a frame of each circle, plus a cut at 0 on every circle
+    e1 = np.cross(normal, np.eye(3)[np.abs(normal).argmin(axis=1)])
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    e2, centre = np.cross(normal, e1), offset[:, None] * normal
+    circle = np.concatenate([a, b, a, b])
+    rel = np.concatenate([crossings, crossings]) - centre[circle]
+    angle = np.concatenate([np.arctan2(np.einsum("ij,ij->i", rel, e2[circle]),
+                                       np.einsum("ij,ij->i", rel, e1[circle])), 0.0 * offset])
+    circle = np.concatenate([circle, np.arange(len(offset))])
+    order = np.lexsort((angle, circle))
+    circle, angle = circle[order], angle[order]
+    # each cut's arc runs to the next cut on its circle, the last back to the first
+    last = np.arange(len(circle)) == np.searchsorted(circle, circle, side="right") - 1
+    end = np.where(last, angle[np.searchsorted(circle, circle)] + 2.0 * np.pi, np.roll(angle, -1))
+    arc = end - angle > 1e-12
+    circle, mid = circle[arc], 0.5 * (angle[arc] + end[arc])
+    radius = np.sqrt(1.0 - offset[circle] ** 2)[:, None]
+    mid = centre[circle] + radius * (np.cos(mid)[:, None] * e1[circle]
+                                     + np.sin(mid)[:, None] * e2[circle])
+    top = len(base) - 1  # levels 1..L-1
+    best, where, kind, count = np.full(top, np.inf), np.zeros((top, 3)), np.zeros(top, int), 0
 
-    def bloch(ang):
-        st, ct = math.sin(ang[0]), math.cos(ang[0])
-        return np.array([st * math.cos(ang[1]), st * math.sin(ang[1]), ct])
+    def offer(points, k):
+        nonlocal count
+        for lo in range(0, len(points), _ORACLE_CHUNK):
+            chunk = points[lo:lo + _ORACLE_CHUNK]
+            prefix = np.cumsum(np.sort(base + chunk @ wvecs.T, axis=1)[:, ::-1], axis=1)[:, :-1]
+            i = prefix.argmin(axis=0)
+            value = prefix[i, np.arange(top)]
+            better = value < best
+            best[better], where[better], kind[better] = value[better], chunk[i[better]], k
+            count += len(chunk)
 
-    def objective(ang):
-        return float(_top_n_sum(base + wvecs @ bloch(ang), n))
+    def top_sums(points):  # g of each point's top-n set, shape (points, levels, 3)
+        return np.cumsum(wvecs[np.argsort(-(base + points @ wvecs.T), axis=1)], axis=1)[:, :-1]
 
-    starts = np.empty((cfg.multistarts, 3))
-    starts[0] = np.einsum("mij,ji->m", paulis, oracle_state).real
-    rng.standard_normal(out=starts[1:])
-    starts /= np.linalg.norm(starts, axis=1)[:, None]
-    # each start's best point so far overwrites the start itself
-    best_val = np.full(cfg.multistarts, np.inf)
-    for lo in range(0, cfg.multistarts, _ORACLE_CHUNK):
-        points, vals = starts[lo:lo + _ORACLE_CHUNK], best_val[lo:lo + _ORACLE_CHUNK]
-        x = points.copy()
-        for size in sizes:
-            probs = base + x @ wvecs.T
-            top = np.argpartition(probs, -n, axis=1)[:, -n:]
-            value = np.take_along_axis(probs, top, axis=1).sum(axis=1)
-            better = value < vals
-            vals[better], points[better] = value[better], x[better]
-            grad = wvecs[top].sum(axis=1)
-            grad -= np.einsum("bi,bi->b", grad, x)[:, None] * x
-            # a zero tangent part (a smooth stationary point) leaves x in place
-            grad /= np.maximum(np.linalg.norm(grad, axis=1), 1e-300)[:, None]
-            x -= size * grad
-            x /= np.linalg.norm(x, axis=1)[:, None]
-    best_start = int(best_val.argmin())
-    r = _tie_point(base, wvecs, n, starts[best_start])
-    x0 = np.array([math.acos(np.clip(r[2], -1.0, 1.0)), math.atan2(r[1], r[0])])
-    res = optimize.minimize(objective, x0, method="Nelder-Mead", options=_NM_POLISH)
-    fevs = cfg.multistarts * len(sizes) + res.nfev
-    return float(res.fun), -np.inf, bloch_to_density(bloch(res.x)).matrix, fevs, best_start
+    def toward(g, fallback):  # -g / |g|, or the fallback where g vanishes
+        size = np.linalg.norm(g, axis=-1, keepdims=True)
+        return np.where(size > 1e-12, -g / np.maximum(size, 1e-300), fallback)
+
+    fixed = np.array([[0.0, 0.0, 1.0]])
+    offer(crossings, 2)
+    offer(toward(top_sums(fixed)[0], fixed), 0)
+    for lo in range(0, len(mid), _ORACLE_CHUNK):
+        circ, m = circle[lo:lo + _ORACLE_CHUNK], mid[lo:lo + _ORACLE_CHUNK]
+        side = normal[circ] - offset[circ, None] * m
+        side *= 1e-7 / np.linalg.norm(side, axis=1)[:, None]
+        nudged = np.concatenate([m + side, m - side])
+        nudged /= np.linalg.norm(nudged, axis=1)[:, None]
+        g = top_sums(nudged)
+        plus, minus = g[:len(m)], g[len(m):]
+        arc, n = np.nonzero(np.abs(plus - minus).max(axis=2) > 1e-12)
+        offer(toward(np.concatenate([plus[arc, n], minus[arc, n]]),
+                     np.concatenate([nudged[arc], nudged[arc + len(m)]])), 0)
+        # S+'s circle point: the in-plane part of g, from the circle's centre c u
+        u, c = normal[circ[arc]], offset[circ[arc], None]
+        radius = np.sqrt(1.0 - c * c)
+        g = plus[arc, n] - np.einsum("ij,ij->i", plus[arc, n], u)[:, None] * u
+        offer(c * u + radius * toward(g, (m[arc] - c * u) / radius), 1)
+    mixed = np.cumsum(np.sort(base)[::-1])
+    for n in levels:
+        value = float(_at_radius(best[n - 1], mixed[n - 1], constraint))
+        state = _at_radius(bloch_to_density(where[n - 1]).matrix, 0.5 * np.eye(2), constraint)
+        yield value, value, state, SolverDiagnostics(count, int(kind[n - 1]), 0.0)
 
 
 def _ket_from_chart(x: np.ndarray, dim: int) -> np.ndarray:
@@ -647,26 +672,18 @@ def _min_level_pure_ket(proj, n, cfg, rng, oracle_state):
         x0s.append(_chart_from_ket(ket, dim))
     best_val, best_x, best_start, fevs = _nm_multistart(objective, x0s, cfg.multistarts)
     psi = _ket_from_chart(best_x, dim)
-    return best_val, -np.inf, np.outer(psi, psi.conj()), fevs, best_start
+    return best_val, np.outer(psi, psi.conj()), fevs, best_start
 
 
-def _solve_min_level(observables, proj, n, constraint, cfg, rng, oracle):
-    if constraint.kind == "all_states":
-        # minimax duality certifies the level, so no oracle checks it
-        value, dual, state, iters, start = _min_level_all_states(proj, n, cfg)
-        residual, oracle_min = 0.0, None
-    else:
-        # pure and fixed-norm states: a multistart search over pure states
-        # (the Bloch sphere for qubits, a chart otherwise), seeded and
-        # checked by the oracle; a fixed Bloch norm maps the solver's and
-        # the oracle's results to radius r
+def _pure_ket_levels(proj, levels, cfg: SolverConfig, entropy: tuple):
+    """Pure levels in d >= 3: a multistart search on a chart of the kets, seeded
+    and checked by the sampling oracle; ``entropy`` seeds its draws and each level."""
+    seeds = np.random.SeedSequence(entropy).spawn(len(levels) + 1)
+    rng_oracle, *rng_levels = (np.random.default_rng(s) for s in seeds)
+    oracle = _Oracle(proj, proj.shape[-1], cfg.oracle_samples, rng_oracle)
+    for n, rng in zip(levels, rng_levels):
         oracle_min, oracle_state = oracle.min_at(n)
-        solve = _min_level_bloch_sphere if proj.shape[-1] == 2 else _min_level_pure_ket
-        value, dual, state, iters, start = solve(proj, n, cfg, rng, oracle_state)
-        mixed = _top_n_sum(0.5 * np.real(np.trace(proj, axis1=-2, axis2=-1)), n)
-        value, oracle_min = (float(_at_radius(x, mixed, constraint)) for x in (value, oracle_min))
-        state, oracle_state = (_at_radius(x, 0.5 * np.eye(2), constraint)
-                               for x in (state, oracle_state))
+        value, state, fevs, start = _min_level_pure_ket(proj, n, cfg, rng, oracle_state)
         residual = value - oracle_min
         if residual > cfg.tol:
             raise SolverDiverged(
@@ -675,45 +692,25 @@ def _solve_min_level(observables, proj, n, constraint, cfg, rng, oracle):
             )
         if oracle_min < value:
             value, state = oracle_min, oracle_state
-    # assembly uses the certified side: the dual bound never exceeds the
-    # true minimum, so envelopes built from it stay valid lower bounds;
-    # pure and fixed-norm levels have no dual and use the local minimum
-    assembly = dual if np.isfinite(dual) else value
-    diag = SolverDiagnostics(
-        iterations=iters,
-        multistart_index=start,
-        residual=float(residual),
-        dual_gap=float(value - dual) if np.isfinite(dual) else None,
-        oracle_min=oracle_min,
-    )
-    cert = BoundCertificate(
-        level=n,
-        bound_kind="min",
-        value=float(value),
-        achieving_state=DensityMatrix(state),
-        achieving_choice=_choice_at(observables, proj, state, n),
-        diagnostics=diag,
-    )
-    return cert, float(assembly)
+        yield value, value, state, SolverDiagnostics(fevs, start, float(residual), None, oracle_min)
 
 
 def _min_levels(observables, levels, constraint: StateConstraint, cfg: SolverConfig,
                 entropy: tuple) -> list[tuple[BoundCertificate, float]]:
-    """Certificate and assembly value per level.
-
-    ``entropy`` seeds the oracle stream and one solver stream per level;
-    only pure and fixed-norm states draw from them.
-    """
+    """Certificate and assembly value per level: over all states the certified
+    dual bound, which never exceeds the true minimum, else the minimum found.
+    Only pure states in d >= 3 draw from ``entropy``."""
     proj = _projector_stack(observables)
-    rng_oracle, *rng_levels = (
-        np.random.default_rng(s) for s in np.random.SeedSequence(entropy).spawn(len(levels) + 1)
-    )
-    oracle = None
-    if constraint.kind != "all_states":
-        oracle = _Oracle(proj, observables[0].dim, cfg.oracle_samples, rng_oracle)
+    if constraint.kind == "all_states":
+        solved = (_min_level_all_states(proj, n, cfg) for n in levels)
+    elif proj.shape[-1] == 2:
+        solved = _pure_qubit_levels(proj, levels, constraint)
+    else:
+        solved = _pure_ket_levels(proj, levels, cfg, entropy)
     return [
-        _solve_min_level(observables, proj, n, constraint, cfg, rng, oracle)
-        for n, rng in zip(levels, rng_levels)
+        (BoundCertificate(n, "min", float(value), DensityMatrix(state),
+                          _choice_at(observables, proj, state, n), diag), float(assembly))
+        for n, (value, assembly, state, diag) in zip(levels, solved)
     ]
 
 

@@ -66,7 +66,7 @@ def certify_state(observables, rho: DensityMatrix, bounds_pair,
     lower_ok = mj.is_majorized_by(t, P)
     upper_ok = mj.is_majorized_by(P, s)
     entropy_sum = mj.shannon_entropy(P, unit)  # P holds every observable's entries
-    entropy_cap = mj.shannon_entropy(t, unit)
+    entropy_cap = mj.shannon_entropy(t, unit)  # computed once per envelope and unit
     try:
         # Conventional weighting: D(P||t) = sum_i P_i log(P_i / t_i).
         divergence = mj.relative_entropy_term(P, t, unit)

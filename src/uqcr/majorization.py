@@ -74,6 +74,7 @@ class ProbVector:
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "total", float(self.total))
         object.__setattr__(self, "_prefix_sums", sums)
+        object.__setattr__(self, "_entropies", {})  # unit -> shannon_entropy
 
     def __len__(self) -> int:
         return int(self.entries.size)
@@ -233,10 +234,13 @@ def lorenz(p: ProbVector) -> LorenzCurve:
 
 
 def shannon_entropy(p: ProbVector, unit: str = "bits") -> float:
-    """-sum p_i log p_i over the entries as given (0 log 0 = 0)."""
-    base = _LOG_BASE[unit]
-    arr = p.entries[p.entries > 0.0]
-    return float(-(arr * (np.log(arr) / math.log(base))).sum() + 0.0)
+    """-sum p_i log p_i over the entries as given (0 log 0 = 0), computed
+    once per vector and unit: a fixed envelope's cap costs one lookup a state."""
+    value = p._entropies.get(unit)
+    if value is None:
+        arr, log_base = p.entries[p.entries > 0.0], math.log(_LOG_BASE[unit])
+        value = p._entropies[unit] = float(-(arr * (np.log(arr) / log_base)).sum() + 0.0)
+    return value
 
 
 def relative_entropy_term(t: ProbVector, p: ProbVector, unit: str = "bits") -> float:

@@ -291,6 +291,60 @@ def grid_pure_qubit_minima(observables, count=200_000, chunk=20_000):
     return minima[:-1]
 
 
+def brute_pure_qubit_minima(observables):
+    """Per-level minima of the top-n sum over pure qubit states, from every
+    candidate of every level at once.
+
+    Reference for the exact pure qubit solve.  With Born probabilities
+    base_k + W_k . x at Bloch vector x, outcomes j and k tie on the plane
+    (W_j - W_k) . x = base_k - base_j.  The candidates are: the point
+    (0, 0, 1); for every subset S of the outcomes, with g the sum of its
+    W_k, the point -g / |g| and, on every tie circle (a tangent plane's
+    circle is its point of contact), the point least in g (any point of
+    the circle if g is normal to it); and both crossings of every two tie
+    circles.  Every candidate is built as a density matrix and every level
+    read from its sorted prefix sums.
+    """
+    paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]])]
+    proj = [p for obs in observables for p in obs.projectors]
+    base = np.array([0.5 * np.trace(p).real for p in proj])
+    wvecs = np.array([[0.5 * np.trace(p @ s).real for s in paulis] for p in proj])
+    planes = []
+    for j, k in itertools.combinations(range(len(proj)), 2):
+        normal = wvecs[j] - wvecs[k]
+        size = np.linalg.norm(normal)
+        if size > 1e-12 and abs(base[k] - base[j]) <= size:
+            planes.append((normal / size, (base[k] - base[j]) / size))
+    points = [np.array([0.0, 0.0, 1.0])]
+    for (u, c), (v, e) in itertools.combinations(planes, 2):
+        line = np.cross(u, v)
+        if np.linalg.norm(line) < 1e-10:
+            continue
+        foot = np.linalg.lstsq(np.array([u, v]), np.array([c, e]), rcond=None)[0]
+        if foot @ foot <= 1.0:
+            step = math.sqrt(1.0 - foot @ foot) * line / np.linalg.norm(line)
+            points += [foot + step, foot - step]
+    normals = np.array([u for u, _ in planes]).reshape(-1, 3)
+    offsets = np.array([c for _, c in planes])
+    radii = np.sqrt(np.maximum(1.0 - offsets ** 2, 0.0))[:, None]
+    # any unit vector in each plane, for circles along which g is constant
+    spare = np.cross(normals, np.eye(3)[np.argmin(np.abs(normals), axis=1)])
+    spare /= np.maximum(np.linalg.norm(spare, axis=1), 1e-300)[:, None]
+    for n in range(1, len(proj)):
+        for subset in itertools.combinations(range(len(proj)), n):
+            g = wvecs[list(subset)].sum(axis=0)
+            if np.linalg.norm(g) > 1e-12:
+                points.append(-g / np.linalg.norm(g))
+            flat = g - (normals @ g)[:, None] * normals
+            size = np.linalg.norm(flat, axis=1)[:, None]
+            toward = np.where(size > 1e-12, -flat / np.maximum(size, 1e-300), spare)
+            points += list(offsets[:, None] * normals + radii * toward)
+    vectors = np.array(points)
+    vectors /= np.linalg.norm(vectors, axis=1)[:, None]
+    states = 0.5 * (np.eye(2) + np.einsum("sk,kij->sij", vectors, np.array(paulis, dtype=complex)))
+    return sorted_prefix_matrix(observables, states).min(axis=0)[:-1]
+
+
 def loop_born_probabilities(obs, rho):
     """Tr[P_i rho] one projector at a time, clamped into [0, 1]."""
     if obs.dim != rho.dim:

@@ -11,6 +11,7 @@ from uqcr import (
     ProbVector,
     ProjectiveObservable,
     bloch_to_density,
+    density_to_bloch,
     enumerate_choices,
     infimum_t,
     max_topn_over_states,
@@ -42,6 +43,7 @@ from uqcr.quantum import PAULIS
 
 from helpers import (
     brute_level_maxima,
+    brute_pure_qubit_minima,
     coarse_grained_basis,
     full_table_oracle,
     grid_pure_qubit_minima,
@@ -170,8 +172,9 @@ def test_min_certificate_reproduces_value(tilted_pure):
             np.real(np.trace(cert.achieving_choice.matrix @ cert.achieving_state.matrix))
         )
         assert abs(reproduced - cert.value) <= 1e-7
-        assert cert.diagnostics.oracle_min is not None
-        assert cert.value <= cert.diagnostics.oracle_min + 1e-6
+        # pure qubit levels are exact: nothing is sampled to check them
+        assert cert.diagnostics.residual == 0.0
+        assert cert.diagnostics.oracle_min is None
 
 
 def test_min_levels_tilted_triple(tilted_pure):
@@ -497,34 +500,70 @@ def test_pure_qubit_closed_forms_across_starts_and_seeds(observables, closed, r)
 def test_tie_point_lands_on_the_mub_vertex():
     # level 1 of the qubit MUBs is least where the three largest
     # probabilities tie, at the Bloch vectors (+-1, +-1, +-1) / sqrt 3
-    from uqcr.bounds import _tie_point
-
-    proj = _projector_stack(standard_mub_set(2))
-    base = 0.5 * np.real(np.trace(proj, axis1=1, axis2=2))
-    wvecs = 0.5 * np.einsum("kij,mji->km", proj, np.stack(PAULIS)).real
-    vertex = np.ones(3) / math.sqrt(3)
-    near = vertex + 1e-5 * np.array([1.0, -2.0, 0.5])
-    y = _tie_point(base, wvecs, 1, near / np.linalg.norm(near))
-    assert np.max(np.abs(y - vertex)) <= 1e-15
-    assert np.max(base + wvecs @ y) == pytest.approx(MUB_HI, abs=1e-15)
+    cert = min_topn_over_states(standard_mub_set(2), 1, StateConstraint.pure_only())
+    vertex = density_to_bloch(cert.achieving_state)
+    assert np.max(np.abs(np.abs(vertex) - 1 / math.sqrt(3))) <= 1e-15
+    assert cert.value == pytest.approx(MUB_HI, abs=1e-15)
+    assert cert.diagnostics.multistart_index == 2  # a crossing of two tie circles
 
 
-def test_sphere_scan_memory_is_one_chunk():
-    # the scan walks its starts in chunks: three chunks of starts take
-    # time, not three chunks of working memory
-    def peak(multistarts):
-        cfg = SolverConfig(seed=1, multistarts=multistarts, oracle_samples=1_000)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            cert = min_topn_over_states(standard_mub_set(2), 3, StateConstraint.pure_only(), cfg)
-            top = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert cert.diagnostics.iterations > 50 * multistarts
-        return top - before
+# an identity projector ties with each rank-1 outcome on a plane tangent to
+# the Bloch sphere, at the Bloch vector where that outcome is certain
+TANGENT_PLANE = [observable_from_bloch_axis((0.3, -0.5, 0.8)), ProjectiveObservable((I2,)),
+                 pauli_observable("x")]
+BRUTE_SETS = {
+    "qubit_mubs": standard_mub_set(2),
+    "trivial_projectors": TRIVIAL_PROJECTORS,
+    "tangent_plane": TANGENT_PLANE,
+    "planar_triple_0.4": planar_triple_observables(0.4),
+    **{f"random_axes_{seed}": [
+        observable_from_bloch_axis(tuple(np.random.default_rng(100 + seed).standard_normal(3)))
+        for _ in range(2 + seed % 5)] for seed in range(10)},
+    "random_bases_x5": [random_orthonormal_basis(2, np.random.default_rng(110 + i)) for i in range(5)],
+}
 
-    assert peak(3 * _ORACLE_CHUNK) <= 1.5 * peak(_ORACLE_CHUNK)
+
+@pytest.mark.parametrize("observables", BRUTE_SETS.values(), ids=BRUTE_SETS.keys())
+def test_pure_qubit_levels_match_brute_force(observables):
+    # the arc walk's candidates against every subset's cell and circle
+    # points and every crossing; the MUBs tie on coincident planes
+    # (x+ = y+ where x- = y-), the trivial projectors have W_k = 0
+    _, certs = infimum_t(observables, StateConstraint.pure_only())
+    values = np.array([c.value for c in certs])
+    assert np.max(np.abs(values - brute_pure_qubit_minima(observables))) <= 1e-12
+    # each value is the top-n sum at its own pure state
+    states = np.stack([c.achieving_state.matrix for c in certs])
+    assert np.max(np.abs(np.einsum("sij,sji->s", states, states).real - 1.0)) <= 1e-14
+    prefix = sorted_prefix_matrix(observables, states)
+    assert np.max(np.abs(prefix[np.arange(len(values)), np.arange(len(values))] - values)) <= 1e-14
+    assert {c.diagnostics.multistart_index for c in certs} <= {0, 1, 2}
+
+
+def test_pure_qubit_levels_need_no_oracle(monkeypatch):
+    # pure and fixed-norm qubit levels are exact, so no states are sampled
+    # and no setting of the search or the oracle changes the result
+    from uqcr import bounds
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("qubit levels must not build the sampling oracle")
+
+    monkeypatch.setattr(bounds, "_Oracle", no_oracle)
+    obs = planar_triple_observables(0.4)
+    for constraint in (StateConstraint.pure_only(), StateConstraint.fixed_bloch_norm(0.6)):
+        (t1, certs1), *others = [
+            infimum_t(obs, constraint, SolverConfig(seed=seed, multistarts=starts,
+                                                    oracle_samples=samples))
+            for seed in (0, 5) for starts in (1, 64) for samples in (1, 100_000)
+        ]
+        for t2, certs2 in others:
+            assert np.array_equal(t1.entries, t2.entries)
+            for c1, c2 in zip(certs1, certs2, strict=True):
+                assert c1.value == c2.value
+                assert np.array_equal(c1.achieving_state.matrix, c2.achieving_state.matrix)
+                assert c1.achieving_choice.index_sets == c2.achieving_choice.index_sets
+                assert c1.diagnostics == c2.diagnostics
+                assert c1.diagnostics.residual == 0.0
+                assert c1.diagnostics.oracle_min is None
 
 
 # ---------------------------------------------------------------------------

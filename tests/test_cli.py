@@ -388,18 +388,20 @@ def test_fixed_bloch_norm_off_qubit_names_constraint(tmp_path, capsys, monkeypat
 
 
 def test_solver_diverged_names_level_excess_and_settings(tmp_path, capsys, monkeypatch):
-    # a local search that ends far above the sampling oracle's minimum
-    from uqcr import bounds
+    # a local search that ends far above the sampling oracle's minimum;
+    # only pure states in d >= 3 are searched and checked by the oracle
+    from uqcr import bounds, standard_mub_set
 
     def stuck(proj, n, cfg, rng, oracle_state):
-        return 2.5, -math.inf, oracle_state, 1, 0
+        return 2.5, oracle_state, 1, 0
 
-    monkeypatch.setattr(bounds, "_min_level_bloch_sphere", stuck)
+    monkeypatch.setattr(bounds, "_min_level_pure_ket", stuck)
+    obs = _write_bases(tmp_path / "obs.json", 3, [o.basis_vectors() for o in standard_mub_set(3)])
     out = tmp_path / "o.json"
     code = run(
         [
             "bounds",
-            "--observables", config("mub3_qubit.json"),
+            "--observables", obs,
             "--constraint", "pure",
             "--oracle-samples", "2000",
             "--out", str(out),

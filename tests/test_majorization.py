@@ -208,6 +208,20 @@ def test_prefix_sums_are_cached_and_read_only():
         sums[0] = 0.0
 
 
+def test_entropy_is_computed_once_per_vector_and_unit(monkeypatch):
+    # a fixed envelope's cap is read once per unit, with the same bits as
+    # the formula, however many states it is checked against
+    p = pv(0.5, 0.25, 0.25, 0.0)
+    first = {unit: shannon_entropy(p, unit) for unit in ("bits", "nats")}
+    assert first["bits"] == 1.5
+    arr = p.entries[p.entries > 0.0]
+    assert first["nats"] == float(-(arr * (np.log(arr) / math.log(math.e))).sum() + 0.0)
+    monkeypatch.setattr(np, "log", None)  # a second computation would fail
+    assert {unit: shannon_entropy(p, unit) for unit in ("bits", "nats")} == first
+    with pytest.raises(KeyError):
+        shannon_entropy(p, "hartleys")
+
+
 def test_lorenz_curve_validation():
     with pytest.raises(ValueError):
         LorenzCurve(np.array([0.0, 0.2, 1.0]), 1.0)  # convex increments
