@@ -45,6 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
+# scipy's private binding of the HiGHS LP solver; a model kept across solves warm-starts
+from scipy.optimize._highspy import _core as _highs
 
 from . import majorization as mj
 from .errors import UqcrError
@@ -102,7 +104,7 @@ class SolverConfig:
         for name, ok, rule in (
             ("max_iter", self.max_iter >= 0, ">= 0"),
             ("multistarts", self.multistarts >= 1, ">= 1"),
-            ("tol", self.tol > 0.0, "> 0"),
+            ("tol", 0.0 < self.tol < math.inf, "finite and > 0"),
             ("oracle_samples", self.oracle_samples >= 1, ">= 1"),
             ("seed", self.seed >= 0, ">= 0"),
         ):
@@ -407,6 +409,20 @@ class _Oracle:
 # ---------------------------------------------------------------------------
 # level minimization
 
+def _capped_simplex_lp(count: int, n: int):
+    """A fresh HiGHS model, no cuts yet: minimize -z over columns w_k in
+    [0, 1] (k < count) and z free, row 0 sum_k w_k = n."""
+    lp = _highs._Highs()
+    # the options scipy's HiGHS LP method sets: presolve on, dual simplex, quiet
+    for option, value in (("presolve", "on"), ("simplex_strategy", 1), ("output_flag", False),
+                          ("log_to_console", False), ("highs_debug_level", 0)):
+        lp.setOptionValue(option, value)
+    lp.addVars(count + 1, np.r_[np.zeros(count), -np.inf], np.r_[np.ones(count), np.inf])
+    lp.changeColCost(count, -1.0)
+    lp.addRow(float(n), float(n), count, np.arange(count, dtype=np.int32), np.ones(count))
+    return lp
+
+
 def _kelley_dual_bound(proj: np.ndarray, n: int, target: float, max_lps: int,
                        tol: float = 1e-12) -> tuple[float, np.ndarray | None, int]:
     """Maximize lambda_min(sum_k w_k Pi_k) over the capped simplex.
@@ -418,54 +434,52 @@ def _kelley_dual_bound(proj: np.ndarray, n: int, target: float, max_lps: int,
     cutting planes start from the uniform weights n/L (always evaluated);
     each iterate adds the cut v_j^dag (sum_k w_k Pi_k) v_j through its
     bottom eigenvector v_j, and a small LP over the L weights proposes
-    the next.  Stops once the value reaches ``target`` (the primal value
-    less the gap tolerance), the LP bound is within ``tol``, or after
-    ``max_lps`` LPs.  The LP's cut multipliers mu_j sum to 1, and by LP
-    duality rho = sum_j mu_j v_j v_j^dag has top-n sum equal to the LP
-    bound.  Returns the best certified value (a valid lower bound at
-    every step), rho from the last solved LP or None, and the LP count.
+    the next.  The LP is one HiGHS model per call: columns w and the
+    value z, row 0 the sum of w, one row per cut; each cut is one added
+    row, and the dual simplex re-solves from the previous basis.  Stops
+    once the value reaches ``target`` (the primal value less the gap
+    tolerance), the LP bound is within ``tol``, or after ``max_lps``
+    LPs.  The LP's cut multipliers mu_j sum to 1, and by LP duality
+    rho = sum_j mu_j v_j v_j^dag has top-n sum equal to the LP bound.
+    Returns the best certified value (a valid lower bound at every
+    step), rho from the last solved LP or None, and the LP count.
     """
     count = proj.shape[0]
+    # real and imaginary parts interleaved: v^dag Pi_k v is one real mat-vec
+    flat = proj.reshape(count, -1).view(float)
     w = np.full(count, n / count)
-    grads: list[np.ndarray] = []
-    offsets: list[float] = []
     kets: list[np.ndarray] = []
     best, state, lps = -np.inf, None, 0
-    bounds = [(0.0, 1.0)] * count + [(None, None)]
-    objective = np.zeros(count + 1)
-    objective[count] = -1.0
-    a_eq = np.zeros((1, count + 1))
-    a_eq[0, :count] = 1.0
+    cols, cut = np.arange(count + 1, dtype=np.int32), np.ones(count + 1)
     while True:
         lam, vecs = np.linalg.eigh(np.einsum("k,kij->ij", w, proj))
         best = max(best, float(lam[0]))
         if best >= target or lps == max_lps:
             break
+        if lps == 0:  # built at the first cut: levels closed by n/L need no model
+            lp = _capped_simplex_lp(count, n)
         vec = vecs[:, 0]
-        grad = np.einsum("kij,j,i->k", proj, vec, vec.conj(), optimize=True).real
-        grads.append(grad)
-        offsets.append(float(lam[0] - grad @ w))
+        grad = flat @ np.outer(vec, vec.conj()).ravel().view(float)
         kets.append(vec)
-        a_ub = np.zeros((len(grads), count + 1))
-        a_ub[:, :count] = -np.stack(grads)
-        a_ub[:, count] = 1.0
-        res = optimize.linprog(
-            objective, A_ub=a_ub, b_ub=np.array(offsets), A_eq=a_eq, b_eq=[float(n)],
-            bounds=bounds, method="highs",
-        )
+        # z - grad . w <= lambda_min - grad . w_j
+        cut[:count] = -grad
+        lp.addRow(-np.inf, float(lam[0] - grad @ w), count + 1, cols, cut)
+        lp.run()
         lps += 1
-        if not res.success:
+        if lp.getModelStatus() != _highs.HighsModelStatus.kOptimal:
             break
+        solution = lp.getSolution()
+        x = np.array(solution.col_value)
         # multipliers are nonnegative and sum to 1 up to the LP's tolerance;
         # renormalizing keeps rho a density matrix
-        mu = np.maximum(-res.ineqlin.marginals, 0.0)
+        mu = np.maximum(-np.array(solution.row_dual)[1:], 0.0)
         basis = np.stack(kets, axis=1)
         state = (basis * (mu / mu.sum())) @ basis.conj().T
         # LP round-off may leave the capped simplex; shrinking back into it
         # keeps lambda_min a lower bound on every state's top-n sum
-        w = np.clip(res.x[:count], 0.0, 1.0)
+        w = np.clip(x[:count], 0.0, 1.0)
         w *= min(1.0, n / w.sum())
-        if float(res.x[count]) - best <= tol:
+        if float(x[count]) - best <= tol:
             break
     return best, state, lps
 

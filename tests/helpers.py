@@ -148,6 +148,51 @@ def kelley_choice_dual(cmats, max_cuts=80, tol=1e-12):
     return best
 
 
+def reference_kelley_dual_bound(proj, n, target, max_lps, tol=1e-12):
+    """Kelley cutting planes over the L capped-simplex weights, one
+    ``linprog`` on the rebuilt cut matrix per cut: the reference for
+    ``_kelley_dual_bound``, with its stopping rules, start and returns
+    (best certified lambda_min, LP-multiplier state or None, LP count).
+    """
+    count = proj.shape[0]
+    w = np.full(count, n / count)
+    grads, offsets, kets = [], [], []
+    best, state, lps = -np.inf, None, 0
+    bounds = [(0.0, 1.0)] * count + [(None, None)]
+    objective = np.zeros(count + 1)
+    objective[count] = -1.0
+    a_eq = np.zeros((1, count + 1))
+    a_eq[0, :count] = 1.0
+    while True:
+        lam, vecs = np.linalg.eigh(np.einsum("k,kij->ij", w, proj))
+        best = max(best, float(lam[0]))
+        if best >= target or lps == max_lps:
+            break
+        vec = vecs[:, 0]
+        grad = np.einsum("kij,j,i->k", proj, vec, vec.conj()).real
+        grads.append(grad)
+        offsets.append(float(lam[0] - grad @ w))
+        kets.append(vec)
+        a_ub = np.zeros((len(grads), count + 1))
+        a_ub[:, :count] = -np.stack(grads)
+        a_ub[:, count] = 1.0
+        res = optimize.linprog(
+            objective, A_ub=a_ub, b_ub=np.array(offsets), A_eq=a_eq, b_eq=[float(n)],
+            bounds=bounds, method="highs",
+        )
+        lps += 1
+        if not res.success:
+            break
+        mu = np.maximum(-res.ineqlin.marginals, 0.0)
+        basis = np.stack(kets, axis=1)
+        state = (basis * (mu / mu.sum())) @ basis.conj().T
+        w = np.clip(res.x[:count], 0.0, 1.0)
+        w *= min(1.0, n / w.sum())
+        if float(res.x[count]) - best <= tol:
+            break
+    return best, state, lps
+
+
 def fold_coherence_vector_mixed(rho, basis, samples, seed):
     """Pairwise-join fold over sampled decompositions, one Haar draw at a time.
 

@@ -35,8 +35,10 @@ from uqcr.bounds import (
     _Oracle,
     _choice_chunks,
     _choice_tables,
+    _born,
     _kelley_dual_bound,
     _projector_stack,
+    _top_n_sum,
     planar_triple_observables,
 )
 from uqcr.quantum import PAULIS
@@ -51,6 +53,7 @@ from helpers import (
     prefix_majorized,
     product_order_index_sets,
     random_orthonormal_basis,
+    reference_kelley_dual_bound,
     sample_pure_states,
     sorted_prefix_matrix,
 )
@@ -618,6 +621,25 @@ def test_lp_multiplier_state_closes_the_gap():
         assert cert.value == pytest.approx(np.sort(probs)[-cert.level:].sum(), abs=1e-12)
         assert cert.diagnostics.dual_gap <= 1e-6
     assert any(c.diagnostics.multistart_index == 1 for c in certs)
+
+
+@pytest.mark.parametrize("dim, ranks", [(4, (2, 1, 1)), (6, (3, 2, 1))])
+@pytest.mark.parametrize("seed", range(4))
+def test_kelley_matches_linprog_reference(dim, ranks, seed):
+    # the warm-started model solves the same LPs as one linprog per cut:
+    # same LP count and certified value on every level, at the solver's target
+    rng = np.random.default_rng(seed)
+    obs = [coarse_grained_basis(dim, ranks, rng, f"c{i}") for i in range(3)]
+    proj = _projector_stack(obs)
+    mixed = _born(np.eye(dim)[None] / dim, proj)
+    for n in range(1, len(proj)):
+        target = float(_top_n_sum(mixed, n)[0]) - 1e-9
+        best, state, lps = _kelley_dual_bound(proj, n, target, 80)
+        ref_best, _, ref_lps = reference_kelley_dual_bound(proj, n, target, 80)
+        assert lps == ref_lps
+        assert best == pytest.approx(ref_best, abs=1e-7)
+        if state is not None:
+            assert best <= _top_n_sum(_born(state[None], proj), n)[0] + 1e-12
 
 
 def test_all_states_levels_need_no_oracle(monkeypatch):

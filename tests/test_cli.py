@@ -8,7 +8,11 @@ import sys
 import numpy as np
 import pytest
 
+from uqcr import infimum_t, min_topn_over_states
+from uqcr.bounds import SolverConfig, StateConstraint
 from uqcr.cli import main
+
+from helpers import coarse_grained_basis
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -267,6 +271,9 @@ def test_mismatched_observables_name_field(tmp_path, xz_bounds_file, capsys, com
         ("--multistarts", "0", "multistarts"),
         ("--max-iter", "-1", "max_iter"),
         ("--tol", "-1", "tol"),
+        # inf would pass "> 0" and switch off the oracle check (residual > inf)
+        ("--tol", "inf", "tol"),
+        ("--tol", "nan", "tol"),
         ("--oracle-samples", "-5", "oracle_samples"),
         ("--seed", "-1", "seed"),
     ],
@@ -283,8 +290,9 @@ def test_bad_solver_flag_is_input_error(tmp_path, capsys, flag, value, field):
         ]
     )
     assert code == 1
-    err = capsys.readouterr().err
-    assert f"error: {flag}: {field} must be" in err
+    captured = capsys.readouterr()
+    assert f"error: {flag}: {field} must be" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -450,6 +458,29 @@ def test_determinism_byte_identical_fixed_norm(tmp_path):
     # fixed-norm solves draw from the pure-state oracle and map to radius r
     _assert_same_seed_bytes(tmp_path, "mub3_qubit.json", "--constraint", "bloch=0.5",
                             "--multistarts", "16", "--oracle-samples", "20000")
+
+
+def test_coarse_levels_are_isolated_and_deterministic(tmp_path):
+    # each Kelley level builds its own LP model: a level solved alone
+    # matches the same level inside a whole envelope bit for bit, and two
+    # runs in one process write the same bytes
+    rng = np.random.default_rng(18)
+    observables = [coarse_grained_basis(4, (2, 1, 1), rng, f"c{i}") for i in range(3)]
+    _, certs = infimum_t(observables, StateConstraint.all_states(), SolverConfig(seed=3))
+    assert any(cert.diagnostics.iterations > 0 for cert in certs)
+    for cert in certs:
+        alone = min_topn_over_states(observables, cert.level, StateConstraint.all_states(),
+                                     SolverConfig(seed=3))
+        assert alone.value == cert.value
+        assert alone.diagnostics == cert.diagnostics
+        assert np.array_equal(alone.achieving_state.matrix, cert.achieving_state.matrix)
+        assert alone.achieving_choice.index_sets == cert.achieving_choice.index_sets
+    path = tmp_path / "coarse.json"
+    entries = [{"name": obs.name, "projectors": [[[[z.real, z.imag] for z in row] for row in p]
+                                                for p in obs.projectors]}
+               for obs in observables]
+    path.write_text(json.dumps({"dimension": 4, "observables": entries}))
+    _assert_same_seed_bytes(tmp_path, str(path))
 
 
 def test_env_seed_default(tmp_path, monkeypatch):
