@@ -20,6 +20,7 @@ CONFIGS = {
     "tilted_triple": lambda: (planar_triple_observables(math.pi / 4), "pure_only"),
     "qubit_mubs": lambda: (standard_mub_set(2), "pure_only"),
     "qutrit_mubs": lambda: (standard_mub_set(3), "all_states"),
+    "qutrit_mubs_pure": lambda: (standard_mub_set(3), "pure_only"),
 }
 
 

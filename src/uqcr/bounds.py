@@ -21,9 +21,11 @@ Pure qubit minima are exact, the least value over the candidates an arc
 walk over the tie circles lists (``_pure_qubit_levels``); there
 ``iterations`` counts the candidates and ``multistart_index`` is the
 winner's kind (0 a cell point, 1 a circle point, 2 a crossing).  Pure
-minima in d >= 3 have no certificate: a sampling oracle streams random
-kets in chunks, keeps each level's smallest top-n sum and its state, and
-seeds and checks every local minimum.
+minima in d >= 3 have no certificate: one batched subgradient scan over
+kets (``_ket_scan``) starts from each level's best sampled ket and from
+random ones, and pools every iterate into one minimum per level.  The
+levels share one candidate set, each candidate's top-n sums are concave
+in n, and so are the minima.
 
 A qubit state at Bloch norm r is r |psi><psi| + (1 - r) I/2, so its Born
 probabilities are h_k + r (q_k - h_k), with q_k those of the pure state
@@ -44,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 # scipy's private binding of the HiGHS LP solver; a model kept across solves warm-starts
 from scipy.optimize._highspy import _core as _highs
 
@@ -84,7 +85,7 @@ CHOICE_OPERATOR_LIMIT = 1 << 24
 # bytes the sweep's per-observable tables of summed projectors may take
 CHOICE_TABLE_BYTES = 1 << 30
 
-# oracle samples, subset operators or qubit arcs per chunk: one GEMM or
+# oracle samples, scan kets, subset operators or qubit arcs per chunk: one GEMM or
 # batched eigvalsh amortises its call overhead while the chunk stays a few MB
 _ORACLE_CHUNK = 4096
 
@@ -94,7 +95,7 @@ class SolverConfig:
     """Knobs for the min-max solver; all runs are deterministic per seed."""
 
     max_iter: int = 80  # cutting-plane LPs per level over all states
-    multistarts: int = 64  # pure states in d >= 3 only
+    multistarts: int = 64  # scan starts per level, pure states in d >= 3 only
     tol: float = 1e-7
     oracle_samples: int = 100_000  # pure states in d >= 3 only
     seed: int = 0
@@ -146,14 +147,15 @@ class SolverDiagnostics:
     """Per-level solver record.
 
     ``iterations``: LP solves over all states; candidate points for pure
-    and fixed-norm qubit levels (one count for all levels); Nelder-Mead
-    evaluations for pure states in d >= 3.  ``multistart_index``: over all
-    states 0 is the maximally mixed state, 1 the LP-multiplier state; for
-    qubits the winning candidate's kind (0 a cell point, 1 a circle point,
-    2 a crossing); in d >= 3 the winning start (0 is the oracle's best
-    ket).  ``residual`` is the solver value less ``oracle_min``, the
-    sampling oracle's minimum; only pure levels in d >= 3 run the oracle,
-    so elsewhere they are 0.0 and None, as on max certificates.
+    and fixed-norm qubit levels and scan evaluations (kets times steps)
+    for pure states in d >= 3, one count for all levels.
+    ``multistart_index``: over all states 0 is the maximally mixed state,
+    1 the LP-multiplier state; for qubits the winning candidate's kind (0
+    a cell point, 1 a circle point, 2 a crossing); in d >= 3 the winning
+    scan start, 0 an oracle ket.  ``residual`` is the scan's value less
+    ``oracle_min``, the sampling oracle's minimum; only pure levels in
+    d >= 3 run the oracle, so elsewhere they are 0.0 and None, as on max
+    certificates.
     """
 
     iterations: int
@@ -342,6 +344,17 @@ def _at_radius(x, x0, constraint: StateConstraint):
     return x if constraint.r is None else x0 + constraint.r * (x - x0)
 
 
+def _pool_minima(minima, argmin, prefix, offset: int) -> np.ndarray:
+    """Fold (levels, candidates) prefix sums into running per-level ``minima`` and
+    ``argmin`` (candidate j + offset; the earlier wins a tie); returns the levels improved."""
+    idx = prefix.argmin(axis=1)
+    vals = prefix[np.arange(len(minima)), idx]
+    better = vals < minima
+    minima[better] = vals[better]
+    argmin[better] = idx[better] + offset
+    return better
+
+
 class _Oracle:
     """Per-level minima of the top-n sum over sampled pure states.
 
@@ -351,9 +364,9 @@ class _Oracle:
     to the earlier sample.  The kets are walked in chunks of
     ``_ORACLE_CHUNK``.  With W_k the orthonormal rows of Pi_k
     (Pi_k = W_k^dag W_k), the Born probability of a ket g is
-    |W_k g|^2 / |g|^2: one real GEMM per chunk with the kets along the
-    columns.  Hilbert-Schmidt states, partial traces of Haar kets
-    on C^d (x) C^d, come from the pure oracle of the projectors Pi_k (x) I.
+    |W_k g|^2 / |g|^2: one real GEMM per chunk (``born``).  Hilbert-Schmidt
+    states, partial traces of Haar kets on C^d (x) C^d, come from the pure
+    oracle of the projectors Pi_k (x) I.
     """
 
     def __init__(self, proj_stack: np.ndarray, dim: int, count: int, rng: np.random.Generator):
@@ -365,41 +378,32 @@ class _Oracle:
             rows = v[:, w > 0.5].conj().T
             blocks.append(np.block([[rows.real, -rows.imag], [rows.imag, rows.real]]))
         # real form of the stacked W_k: its rows give [Re W_k g; Im W_k g] per
-        # projector; ``_owner`` sums each projector's squared rows
+        # projector, and its transpose is the real form of the stacked W_k^dag;
+        # ``_owner`` sums each projector's squared rows
         self._factors = np.concatenate(blocks)
         self._owner = np.repeat(np.eye(len(blocks)), [len(b) for b in blocks], axis=1)
         levels = proj_stack.shape[0]
         self._minima = np.full(levels, np.inf)
         self._argmin = np.zeros(levels, dtype=int)
         for start, prefix in zip(range(0, count, _ORACLE_CHUNK), self.prefix_chunks()):
-            idx = prefix.argmin(axis=1)
-            vals = prefix[np.arange(levels), idx]
-            better = vals < self._minima
-            self._minima[better] = vals[better]
-            self._argmin[better] = idx[better] + start
+            _pool_minima(self._minima, self._argmin, prefix, start)
+
+    def born(self, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Of kets in real form, (size, 2d) with the real parts first: the amplitudes
+        [Re W_k g; Im W_k g], the ascending order of the Born probabilities, (size, L),
+        and their sorted prefix sums, (L, size) with row n-1 the top-n sums."""
+        amps = parts @ self._factors.T
+        probs = np.square(amps) @ self._owner.T
+        probs /= np.square(parts).sum(axis=1)[:, None]
+        np.clip(probs, 0.0, 1.0, out=probs)
+        order = probs.argsort(axis=1)
+        return amps, order, np.cumsum(np.take_along_axis(probs, order[:, ::-1], axis=1), axis=1).T
 
     def prefix_chunks(self):
         """Prefix sums of the sorted Born probabilities, one (L, chunk) array per chunk."""
         for start in range(0, self.states.shape[0], _ORACLE_CHUNK):
             draws = self.states[start:start + _ORACLE_CHUNK]
-            size, dim = draws.shape
-            # one column per ket, real parts over imaginary parts
-            parts = np.empty((2, dim, size))
-            parts[0] = draws.real.T
-            parts[1] = draws.imag.T
-            sq = parts.reshape(2 * dim, size).T @ self._factors.T
-            sq *= sq
-            probs = sq @ self._owner.T
-            probs /= np.square(parts).reshape(-1, size).sum(axis=0)[:, None]
-            np.clip(probs, 0.0, 1.0, out=probs)
-            probs.sort(axis=1)
-            # row n-1 holds the top-n sums; row by row, as fast as cumsum is slow here
-            desc = probs.T[::-1]
-            prefix = np.empty(desc.shape)
-            prefix[0] = desc[0]
-            for n in range(1, len(desc)):
-                np.add(prefix[n - 1], desc[n], out=prefix[n])
-            yield prefix
+            yield self.born(np.concatenate([draws.real, draws.imag], axis=1))[2]
 
     def min_at(self, level: int) -> tuple[float, np.ndarray]:
         ket = self.states[int(self._argmin[level - 1])]
@@ -503,26 +507,6 @@ def _min_level_all_states(proj: np.ndarray, n: int, cfg: SolverConfig):
     i = int(np.argmin(values))
     value = float(values[i])
     return value, f_lb, states[i], SolverDiagnostics(lps, i, 0.0, float(value - f_lb))
-
-
-_NM_SCAN = {"xatol": 1e-8, "fatol": 1e-10, "maxiter": 800, "maxfev": 1600}
-_NM_POLISH = {"xatol": 1e-11, "fatol": 1e-13, "maxiter": 4000, "maxfev": 8000}
-
-
-def _nm_multistart(objective, x0s, limit):
-    """Loose Nelder-Mead scan over all starts, tight restarts on the best."""
-    best_val, best_x, best_start, fevs = np.inf, None, -1, 0
-    for idx, x0 in enumerate(x0s[:limit]):
-        res = optimize.minimize(objective, x0, method="Nelder-Mead", options=_NM_SCAN)
-        fevs += res.nfev
-        if res.fun < best_val:
-            best_val, best_x, best_start = float(res.fun), res.x, idx
-    for _ in range(3):
-        res = optimize.minimize(objective, best_x, method="Nelder-Mead", options=_NM_POLISH)
-        fevs += res.nfev
-        if res.fun < best_val:
-            best_val, best_x = float(res.fun), res.x
-    return best_val, best_x, best_start, fevs
 
 
 def _pure_qubit_levels(proj: np.ndarray, levels, constraint: StateConstraint):
@@ -637,76 +621,66 @@ def _pure_qubit_levels(proj: np.ndarray, levels, constraint: StateConstraint):
         yield value, value, state, SolverDiagnostics(count, int(kind[n - 1]), 0.0)
 
 
-def _ket_from_chart(x: np.ndarray, dim: int) -> np.ndarray:
-    """Unit ket from hyperspherical magnitudes and explicit phases.
+# 50 steps of 0.3 / sqrt(k + 1) explore, 200 shrinking by 0.85 settle each start
+_SCAN_STEPS = np.r_[0.3 / np.sqrt(np.arange(1, 51)), 0.3 / np.sqrt(50) * 0.85 ** np.arange(1, 201)]
 
-    2(dim-1) parameters, no gauge freedom: the first amplitude is real.
+
+def _ket_scan(oracle: _Oracle, kets: np.ndarray, levels: np.ndarray):
+    """Projected-subgradient scan of unit kets, ``_ORACLE_CHUNK`` rows at a time.
+
+    Row i descends the top-``levels[i]`` sum: it steps against 2 C_S psi (S
+    its top-n set) less its psi part, normalised, and is renormalised.  In
+    real form C_S psi is the oracle's factors, transposed, times psi's
+    amplitudes on S.  Every iterate's prefix sums pool into one minimum per
+    level.  Returns the minima of levels 1..L, their kets and rows, and the
+    count of kets evaluated.
     """
-    angles = x[: dim - 1]
-    phases = x[dim - 1:]
-    amps = np.ones(dim)
-    for j in range(dim - 1):
-        c, s = math.cos(angles[j]), math.sin(angles[j])
-        amps[j] *= c
-        amps[j + 1:] *= s
-    psi = amps.astype(complex)
-    psi[1:] *= np.exp(1j * phases)
-    return psi
-
-
-def _chart_from_ket(ket: np.ndarray, dim: int) -> np.ndarray:
-    pivot = int(np.argmax(np.abs(ket)))
-    phase = ket[pivot] / abs(ket[pivot])
-    psi = ket / phase
-    psi = psi * np.exp(-1j * np.angle(psi[0])) if abs(psi[0]) > 1e-12 else psi
-    amps = np.abs(psi)
-    angles = np.zeros(dim - 1)
-    tail = 1.0
-    for j in range(dim - 1):
-        ratio = np.clip(amps[j] / tail, -1.0, 1.0) if tail > 1e-12 else 1.0
-        angles[j] = math.acos(ratio)
-        tail *= math.sin(angles[j])
-    phases = np.angle(psi[1:])
-    return np.concatenate([angles, phases])
-
-
-def _min_level_pure_ket(proj, n, cfg, rng, oracle_state):
-    dim = proj.shape[-1]
-    pflat = proj.reshape(proj.shape[0], -1)
-
-    def objective(x):
-        psi = _ket_from_chart(x, dim)
-        rho_vec = (psi[:, None] * psi.conj()[None, :]).ravel().conj()
-        return float(_top_n_sum((pflat @ rho_vec).real, n))
-
-    x0s = [_chart_from_ket(np.linalg.eigh(oracle_state)[1][:, -1], dim)]
-    while len(x0s) < cfg.multistarts:
-        ket = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        ket /= np.linalg.norm(ket)
-        x0s.append(_chart_from_ket(ket, dim))
-    best_val, best_x, best_start, fevs = _nm_multistart(objective, x0s, cfg.multistarts)
-    psi = _ket_from_chart(best_x, dim)
-    return best_val, np.outer(psi, psi.conj()), fevs, best_start
+    count, dim = kets.shape
+    total = oracle._owner.shape[0]
+    minima, row = np.full(total, np.inf), np.zeros(total, dtype=int)
+    best = np.zeros((total, 2 * dim))
+    for lo in range(0, count, _ORACLE_CHUNK):
+        chunk = kets[lo:lo + _ORACLE_CHUNK]
+        parts = np.concatenate([chunk.real, chunk.imag], axis=1)
+        # in each row's ascending order, the positions of its top-n set
+        last = (total - levels[lo:lo + _ORACLE_CHUNK])[:, None] <= np.arange(total)
+        top = np.empty(last.shape)
+        for size in _SCAN_STEPS:
+            amps, order, prefix = oracle.born(parts)
+            better = _pool_minima(minima, row, prefix, lo)
+            best[better] = parts[row[better] - lo]
+            np.put_along_axis(top, order, last, axis=1)
+            grad = (amps * (top @ oracle._owner)) @ oracle._factors
+            grad -= np.einsum("bi,bi->b", grad, parts)[:, None] * parts
+            # a zero tangent part (a smooth stationary point) leaves the ket in place
+            parts -= size / np.maximum(np.linalg.norm(grad, axis=1), 1e-300)[:, None] * grad
+            parts /= np.linalg.norm(parts, axis=1)[:, None]
+    return minima, best[:, :dim] + 1j * best[:, dim:], row, count * len(_SCAN_STEPS)
 
 
 def _pure_ket_levels(proj, levels, cfg: SolverConfig, entropy: tuple):
-    """Pure levels in d >= 3: a multistart search on a chart of the kets, seeded
-    and checked by the sampling oracle; ``entropy`` seeds its draws and each level."""
-    seeds = np.random.SeedSequence(entropy).spawn(len(levels) + 1)
-    rng_oracle, *rng_levels = (np.random.default_rng(s) for s in seeds)
-    oracle = _Oracle(proj, proj.shape[-1], cfg.oracle_samples, rng_oracle)
-    for n, rng in zip(levels, rng_levels):
-        oracle_min, oracle_state = oracle.min_at(n)
-        value, state, fevs, start = _min_level_pure_ket(proj, n, cfg, rng, oracle_state)
+    """Pure levels in d >= 3: ``cfg.multistarts`` scan starts per level, the
+    oracle's best ket for it and random ones drawn from ``entropy``, as are
+    the oracle's samples; the oracle checks every level."""
+    rng_oracle, rng = (np.random.default_rng(s) for s in np.random.SeedSequence(entropy).spawn(2))
+    dim, starts, levels = proj.shape[-1], cfg.multistarts, np.asarray(levels)
+    oracle = _Oracle(proj, dim, cfg.oracle_samples, rng_oracle)
+    kets = rng.standard_normal((len(levels), starts, 2 * dim)).view(complex)
+    kets[:, 0] = oracle.states[oracle._argmin[levels - 1]]
+    kets /= np.linalg.norm(kets, axis=2)[:, :, None]
+    minima, best, row, evaluations = _ket_scan(oracle, kets.reshape(-1, dim), levels.repeat(starts))
+    for n in levels:
+        # the scan evaluates each level's oracle ket, so only a fault or
+        # rounding puts its minimum above the oracle's
+        (oracle_min, _), value = oracle.min_at(n), float(minima[n - 1])
         residual = value - oracle_min
         if residual > cfg.tol:
             raise SolverDiverged(
                 f"level {n}: solver value {value!r} exceeds oracle minimum {oracle_min!r} by "
                 f"{residual!r}, over tol={cfg.tol!r}; raise --multistarts or --tol"
             )
-        if oracle_min < value:
-            value, state = oracle_min, oracle_state
-        yield value, value, state, SolverDiagnostics(fevs, start, float(residual), None, oracle_min)
+        yield value, value, np.outer(best[n - 1], best[n - 1].conj()), SolverDiagnostics(
+            evaluations, int(row[n - 1] % starts), float(residual), None, oracle_min)
 
 
 def _min_levels(observables, levels, constraint: StateConstraint, cfg: SolverConfig,

@@ -501,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--constraint", default="all", help="all | pure | bloch=R")
     p_bounds.add_argument("--seed", type=int, default=None)
     p_bounds.add_argument("--multistarts", type=int, default=64,
-                          help="local-search starts per level, pure states in d >= 3 only")
+                          help="subgradient-scan starts per level, pure states in d >= 3 only")
     p_bounds.add_argument("--max-iter", type=int, default=80,
                           help="cutting-plane LPs per level over all states")
     p_bounds.add_argument("--tol", type=float, default=1e-7)

@@ -12,7 +12,7 @@ from uqcr import infimum_t, min_topn_over_states
 from uqcr.bounds import SolverConfig, StateConstraint
 from uqcr.cli import main
 
-from helpers import coarse_grained_basis
+from helpers import coarse_grained_basis, random_orthonormal_basis
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -396,14 +396,17 @@ def test_fixed_bloch_norm_off_qubit_names_constraint(tmp_path, capsys, monkeypat
 
 
 def test_solver_diverged_names_level_excess_and_settings(tmp_path, capsys, monkeypatch):
-    # a local search that ends far above the sampling oracle's minimum;
-    # only pure states in d >= 3 are searched and checked by the oracle
+    # a scan that ends far above the sampling oracle's minimum; only pure
+    # states in d >= 3 are scanned and checked by the oracle
     from uqcr import bounds, standard_mub_set
 
-    def stuck(proj, n, cfg, rng, oracle_state):
-        return 2.5, oracle_state, 1, 0
+    scan = bounds._ket_scan
 
-    monkeypatch.setattr(bounds, "_min_level_pure_ket", stuck)
+    def stuck(oracle, kets, levels):
+        minima, best, row, evaluations = scan(oracle, kets, levels)
+        return np.full_like(minima, 2.5), best, row, evaluations
+
+    monkeypatch.setattr(bounds, "_ket_scan", stuck)
     obs = _write_bases(tmp_path / "obs.json", 3, [o.basis_vectors() for o in standard_mub_set(3)])
     out = tmp_path / "o.json"
     code = run(
@@ -424,6 +427,18 @@ def test_solver_diverged_names_level_excess_and_settings(tmp_path, capsys, monke
     assert excess == value - oracle_min
     assert "--multistarts" in err and "--tol" in err
     assert not out.exists()
+
+
+def test_pure_haar_d4_triple_exits_zero(tmp_path, capsys):
+    # per-level local searches left these minima non-concave, and assembling
+    # t ended in a traceback
+    rng = np.random.default_rng(4)
+    bases = [random_orthonormal_basis(4, rng).basis_vectors() for _ in range(3)]
+    out = tmp_path / "o.json"
+    code = run(["bounds", "--observables", _write_bases(tmp_path / "obs.json", 4, bases),
+                "--constraint", "pure", "--seed", "0", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert len(json.loads(out.read_text())["t"]) == 12
 
 
 def test_invalid_json_syntax(tmp_path, capsys):

@@ -30,6 +30,13 @@ def test_sandwich_sampling_qubit_mubs_pure():
     assert "upper violations: 0" in proc.stdout
 
 
+def test_sandwich_sampling_qutrit_mubs_pure():
+    proc = run_script("sandwich_sampling.py", "--config", "qutrit_mubs_pure", "--samples", "2000")
+    assert proc.returncode == 0, proc.stderr
+    assert "lower violations: 0" in proc.stdout
+    assert "upper violations: 0" in proc.stdout
+
+
 def test_reproduce_qubit_envelopes_matches_closed_forms(tmp_path):
     proc = run_script("reproduce_qubit_envelopes.py", "--outdir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
