@@ -447,12 +447,21 @@ def cmd_entropy(args) -> int:
 
 def cmd_coherence(args) -> int:
     dim, bases = parse_observable_file(_load_json(args.bases), args.bases)
+    for basis in bases:
+        if not basis.is_rank_one:
+            raise InputError(f"--bases: observable {basis.name!r} has degenerate outcomes; "
+                             "coherence needs rank-1 bases")
     seed = args.seed if args.seed is not None else _default_seed()
     try:
         cfg = bd.SolverConfig(seed=seed)
         sampling = coh.CoherenceSampling(samples=args.samples, seed=seed)
     except ValueError as exc:
         raise InputError(f"--{str(exc).split()[0]}: {exc}") from None
+    # a mixed state's Haar block takes up to 16 (samples + 1) d^2 bytes
+    block_bytes = 16 * (args.samples + 1) * dim * dim
+    if block_bytes > bd.CHOICE_TABLE_BYTES:
+        raise InputError(f"--samples: {args.samples} samples in d={dim} need {block_bytes} "
+                         f"bytes of mixing unitaries, over the limit of {bd.CHOICE_TABLE_BYTES}")
     mu_t, mu_s = coh.coherence_complementarity_bounds(bases, cfg)
     doc = {
         "unit": args.unit,
@@ -464,11 +473,11 @@ def cmd_coherence(args) -> int:
     }
     for path in args.state or []:
         rho = parse_state_file(_load_json(path), dim, path)
+        ket = np.linalg.eigh(rho.matrix)[1][:, -1] if rho.is_pure(1e-10) else None
         per_basis = []
         for basis in bases:
-            if rho.is_pure(1e-10):
-                w, v = np.linalg.eigh(rho.matrix)
-                mu = coh.coherence_vector_pure(v[:, -1], basis)
+            if ket is not None:
+                mu = coh.coherence_vector_pure(ket, basis)
             else:
                 mu = coh.coherence_vector_mixed_approx(rho, basis, sampling)
             per_basis.append(

@@ -10,6 +10,7 @@ by one lattice join over sampled decompositions and labelled as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,17 +55,34 @@ def coherence_vector_pure(psi, basis: ProjectiveObservable) -> CoherenceVector:
     return CoherenceVector(basis.name, mj.from_unsorted(probs, 1.0), "exact")
 
 
+@lru_cache(maxsize=8)
+def _haar_block(samples: int, seed: int, rank: int) -> np.ndarray:
+    """Read-only ((samples + 1) rank, rank) block: the identity, then the
+    conjugate of each Haar unitary (QR of a complex Ginibre matrix drawn
+    from ``seed``, phases fixed by diag(R)); the last 8 keys stay cached."""
+    g = np.random.default_rng(seed).standard_normal((samples, 2, rank, rank))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    u = q * (d / np.abs(d))[:, None, :]
+    block = np.concatenate((np.eye(rank)[None], u.conj())).reshape(-1, rank)
+    block.setflags(write=False)
+    return block
+
+
 def coherence_vector_mixed_approx(rho: DensityMatrix, basis: ProjectiveObservable,
                                   cfg: CoherenceSampling = CoherenceSampling()) -> CoherenceVector:
     """Join over sampled pure-state decompositions of ``rho``.
 
     Every finite decomposition arises from a unitary mixing of the eigen
     ensemble, so the returned vector is majorized by the true coherence
-    vector.  The eigen ensemble and ``cfg.samples`` Haar mixings, drawn
-    in one batch, give one prefix-sum row each (per-member sorted
-    outcome weights, summed); a single lattice join over all rows
-    finishes.  Sample s+1 extends the draws of sample s, so the vector is
-    monotone in the sample count for a fixed seed.
+    vector.  The eigen ensemble and ``cfg.samples`` Haar mixings give one
+    prefix-sum row each (per-member sorted outcome weights, summed); a
+    single lattice join over all rows finishes.  The mixing unitaries
+    depend only on ``(cfg.samples, cfg.seed, rank)``; they are drawn once
+    per key (the last 8 keys stay cached, 16 (samples + 1) rank^2 bytes
+    each) and one matrix product gives every member's amplitudes under
+    every mixing.  Sample s+1 extends the draws of sample s, so the
+    vector is monotone in the sample count for a fixed seed.
     """
     w, v = np.linalg.eigh(rho.matrix)
     keep = w > 1e-12
@@ -72,16 +90,12 @@ def coherence_vector_mixed_approx(rho: DensityMatrix, basis: ProjectiveObservabl
     rank = int(w.size)
     if rank == 1:
         return coherence_vector_pure(v[:, 0], basis)
-    # Haar unitaries: QR of complex Ginibre matrices, phases fixed by diag(R)
-    g = np.random.default_rng(cfg.seed).standard_normal((cfg.samples, 2, rank, rank))
-    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    u = q * (d / np.abs(d))[:, None, :]
-    mixes = np.concatenate((np.eye(rank)[None], u.conj().swapaxes(-1, -2)))
-    bmat = basis.basis_vectors().conj()
-    weights = np.abs(bmat @ (v * np.sqrt(w)[None, :]) @ mixes) ** 2  # (mix, outcome, member)
-    weights[:, ::-1].sort(axis=1)
-    prefixes = np.cumsum(weights.sum(axis=2), axis=1)
+    members = basis.basis_vectors().conj() @ (v * np.sqrt(w)[None, :])  # (outcome, member)
+    amp = _haar_block(cfg.samples, cfg.seed, rank) @ members.T  # (mix * member, outcome)
+    weights = amp.real ** 2 + amp.imag ** 2
+    weights.sort(axis=1)
+    sums = np.einsum("kmi->ki", weights.reshape(-1, rank, weights.shape[1]))
+    prefixes = np.cumsum(sums[:, ::-1], axis=1)
     return CoherenceVector(basis.name, mj.join_prefix_sums(prefixes, 1.0), "approximate_lower")
 
 

@@ -141,14 +141,12 @@ class ProjectiveObservable:
         rows.setflags(write=False)
         return rows
 
-    @property
+    @cached_property
     def is_rank_one(self) -> bool:
         return all(abs(np.real(p.trace()) - 1.0) <= 1e-9 for p in self.projectors)
 
-    def basis_vectors(self) -> np.ndarray:
-        """Rows are the measured basis kets; requires rank-1 projectors."""
-        if not self.is_rank_one:
-            raise NotRankOne(f"observable {self.name!r} has degenerate outcomes")
+    @cached_property
+    def _kets(self) -> np.ndarray:
         vecs = []
         for p in self.projectors:
             w, v = np.linalg.eigh(p)
@@ -156,7 +154,17 @@ class ProjectiveObservable:
             pivot = int(np.argmax(np.abs(ket)))
             phase = ket[pivot] / abs(ket[pivot])
             vecs.append(ket / phase)
-        return np.array(vecs)
+        kets = np.array(vecs)
+        kets.setflags(write=False)
+        return kets
+
+    def basis_vectors(self) -> np.ndarray:
+        """Rows are the measured basis kets; requires rank-1 projectors.
+
+        Computed once per observable and returned read-only on every call."""
+        if not self.is_rank_one:
+            raise NotRankOne(f"observable {self.name!r} has degenerate outcomes")
+        return self._kets
 
 
 def born_probabilities(obs, rho: DensityMatrix) -> np.ndarray:

@@ -187,6 +187,57 @@ def test_bad_coherence_flag_is_input_error(capsys, flag, value):
     assert captured.out == ""
 
 
+def test_coherence_rejects_coarse_bases_before_solving(tmp_path, capsys, monkeypatch):
+    from uqcr import coherence
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the bases must be checked before any solve")
+
+    monkeypatch.setattr(coherence, "coherence_complementarity_bounds", no_solve)
+    coarse = [[[[float(z), 0.0] for z in row] for row in np.diag(diag)]
+              for diag in ((1, 1, 0), (0, 0, 1))]
+    bases = tmp_path / "bases.json"
+    bases.write_text(json.dumps({"dimension": 3, "observables": [
+        {"name": "m", "preset": "mub_set"}, {"name": "c", "projectors": coarse}]}))
+    state = tmp_path / "mixed.json"
+    state.write_text(json.dumps({"density": [[[z / 3, 0.0] for z in row] for row in np.eye(3)]}))
+    for extra in ([], ["--state", str(state)]):
+        assert run(["coherence", "--bases", str(bases), *extra]) == 1
+        captured = capsys.readouterr()
+        assert "error: --bases: observable 'c' has degenerate outcomes" in captured.err
+        assert captured.out == ""
+
+
+def test_coherence_refuses_oversized_samples(capsys, monkeypatch):
+    from uqcr import coherence
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("--samples must be checked before any allocation")
+
+    monkeypatch.setattr(coherence, "_haar_block", no_block)
+    monkeypatch.setattr(coherence, "coherence_complementarity_bounds", no_block)
+    # 16 (samples + 1) d^2 bytes in d=2: 2^24 samples is just over 1 GiB
+    code = run(["coherence", "--bases", config("pauli_xz.json"),
+                "--state", config("states/maximally_mixed_d2.json"),
+                "--samples", str(1 << 24), "--seed", "0"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "error: --samples: " in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_coherence_same_seed_same_bytes(capsys):
+    args = ["coherence", "--bases", config("pauli_xz.json"),
+            "--state", config("states/bloch_tilted.json"),
+            "--state", config("states/maximally_mixed_d2.json"),
+            "--state", config("states/ket_z_plus.json"), "--seed", "5"]
+    assert run(args) == 0
+    first = capsys.readouterr().out
+    assert run(args) == 0
+    assert capsys.readouterr().out == first
+
+
 @pytest.mark.parametrize("command", ["verify", "entropy"])
 def test_observables_default_to_bounds_file(xz_bounds_file, capsys, command):
     args = [

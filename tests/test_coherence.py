@@ -18,6 +18,7 @@ from uqcr import (
     supremum_s,
 )
 from uqcr.bounds import SolverConfig, StateConstraint
+from uqcr import coherence as coh
 from uqcr.coherence import NotNormalized
 from uqcr.quantum import random_ket
 
@@ -80,6 +81,55 @@ def test_mixed_approx_matches_pairwise_fold(dim):
             assert np.allclose(
                 got.vector.prefix_sums(), ref.prefix_sums(), rtol=0.0, atol=1e-12
             )
+
+
+def test_cached_haar_blocks_match_fresh_draws():
+    # calls that interleave samples, seed and rank, so the cache holds
+    # several blocks at once, against the same calls on an empty cache
+    gen = np.random.default_rng(17)
+    calls = []
+    for dim in (2, 3, 4, 6):
+        basis = random_orthonormal_basis(dim, gen)
+        for rank in sorted({2, dim}):
+            rho = random_density(dim, rank, gen)
+            for samples, seed in ((0, 0), (8, 3), (256, 0), (8, 0), (256, 5)):
+                calls.append((rho, basis, CoherenceSampling(samples, seed)))
+    order = np.random.default_rng(18).permutation(len(calls))
+    cached = {int(i): coherence_vector_mixed_approx(*calls[i]).vector.prefix_sums()
+              for i in np.concatenate((order, order[::-1]))}
+    for i, call in enumerate(calls):
+        coh._haar_block.cache_clear()
+        fresh = coherence_vector_mixed_approx(*call).vector.prefix_sums()
+        assert np.array_equal(cached[i], fresh)
+
+
+def test_haar_block_is_read_only_and_prefix_extends():
+    block = coh._haar_block(8, 3, 2)
+    assert block.shape == (9 * 2, 2)
+    assert np.array_equal(block[:2], np.eye(2))
+    assert np.array_equal(coh._haar_block(4, 3, 2), block[:5 * 2])
+    units = block.reshape(9, 2, 2)
+    assert np.allclose(units @ units.conj().swapaxes(-1, -2), np.eye(2), atol=1e-12)
+    with pytest.raises(ValueError):
+        block[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("dim, expected", [
+    (3, [0.7933810008912954, 0.9786091275987241, 1.0]),
+    (4, [0.5550211351314192, 0.8853679522607683, 0.9845688564374374, 1.0]),
+])
+def test_mixed_approx_pinned_values(dim, expected):
+    # values of the per-mixing stacked products this join replaced
+    if dim == 3:
+        rho = random_density(3, 3, np.random.default_rng(31))
+        basis, cfg = standard_mub_set(3)[2], CoherenceSampling(64, 4)
+    else:
+        rho = random_density(4, 3, np.random.default_rng(41))
+        basis = random_orthonormal_basis(4, np.random.default_rng(42))
+        cfg = CoherenceSampling(256, 0)
+    got = coherence_vector_mixed_approx(rho, basis, cfg)
+    assert got.exactness == "approximate_lower"
+    assert np.allclose(got.vector.prefix_sums(), expected, rtol=0.0, atol=1e-15)
 
 
 def test_sampling_rejects_negative_fields():

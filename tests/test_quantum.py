@@ -54,8 +54,20 @@ def test_degenerate_projectors_allowed():
     obs = ProjectiveObservable(blocks, "coarse")
     assert obs.outcome_count == 2
     assert not obs.is_rank_one
-    with pytest.raises(NotRankOne):
-        obs.basis_vectors()
+    for _ in range(2):  # the check runs on every call, not only the first
+        with pytest.raises(NotRankOne):
+            obs.basis_vectors()
+
+
+def test_basis_vectors_are_cached_and_read_only(rng):
+    obs = random_orthonormal_basis(3, rng)
+    kets = obs.basis_vectors()
+    assert obs.basis_vectors() is kets
+    assert np.allclose(kets.conj() @ kets.T, np.eye(3), atol=1e-12)
+    for i, p in enumerate(obs.projectors):
+        assert np.allclose(np.outer(kets[i], kets[i].conj()), p, atol=1e-12)
+    with pytest.raises(ValueError):
+        kets[0, 0] = 0.0
 
 
 def test_born_eigenstate_and_unbiased():
