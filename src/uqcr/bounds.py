@@ -15,7 +15,10 @@ observables; at most ``CHOICE_OPERATOR_LIMIT`` per level).  The
 complement of S is a level-(L - n) choice with operator M I - C_S, so
 one ``eigvalsh`` sweep over each level n <= L/2, streamed in chunks,
 gives the maxima of levels n and L - n; flattening the maxima with the
-least concave majorant assembles the least upper bound ``s``.
+least concave majorant assembles the least upper bound ``s``.  Each
+chunk is gathered, not built split by split: per observable, a table
+of its summed k-subset projectors (``_choice_tables``), and per chunk
+one gather-and-add of table rows per observable (``_choice_chunks``).
 
 Pure qubit minima are exact, the least value over the candidates an arc
 walk over the tie circles lists (``_pure_qubit_levels``); there
@@ -44,10 +47,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-# scipy's private binding of the HiGHS LP solver; a model kept across solves warm-starts
-from scipy.optimize._highspy import _core as _highs
 
 from . import majorization as mj
 from .errors import UqcrError
@@ -226,8 +228,11 @@ def _projector_stack(observables) -> np.ndarray:
 
 
 def _born(states: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    """Born probabilities tr(Pi_k rho) of a (B, d, d) batch, shape (B, L)."""
-    return np.einsum("sij,pji->sp", states, proj, optimize=True).real
+    """Born probabilities tr(Pi_k rho) of a (B, d, d) batch, shape (B, L): one
+    matmul of the flattened projectors and the transposed states, the
+    contraction ``einsum("sij,pji->sp", optimize=True)`` makes, bit for bit."""
+    batch, dim = states.shape[0], states.shape[-1]
+    return (proj.reshape(len(proj), -1) @ states.transpose(2, 1, 0).reshape(dim * dim, batch)).T.real
 
 
 def _top_n_sum(probs: np.ndarray, n: int) -> np.ndarray:
@@ -256,50 +261,59 @@ def check_choice_budget(observables, levels=None) -> None:
             f"{16 * dim * dim * entries} bytes, over the limit of {CHOICE_TABLE_BYTES}")
 
 
-def _choice_tables(observables, top: int) -> list:
-    """Per observable and size k <= top: its k-subsets in ``itertools.combinations``
-    order, shape (C(c, k), k), and their summed projectors, (C(c, k), d, d)."""
+class _ChoiceTable(NamedTuple):
+    """One observable's k-subsets for k <= top, by size, each size in
+    ``itertools.combinations`` order: the subsets as tuples, their summed
+    projectors, shape (rows, d, d), and the first row of each size
+    (``starts[k]``; ``starts[-1]`` counts the rows).  The empty set sums to
+    -0.0 - 0.0j, which leaves any x it is added to exactly x."""
+
+    sets: list
+    sums: np.ndarray
+    starts: np.ndarray
+
+
+def _choice_tables(observables, top: int) -> list[_ChoiceTable]:
+    """Each observable's table of its subsets of size k <= top."""
     tables = []
     for obs in observables:
         c, proj = obs.outcome_count, np.stack(obs.projectors)
-        sets = (np.array(list(itertools.combinations(range(c), k)), dtype=int).reshape(
-            math.comb(c, k), k) for k in range(min(c, top) + 1))
-        tables.append([(s, proj[s].sum(axis=1)) for s in sets])
+        by_size = [list(itertools.combinations(range(c), k)) for k in range(min(c, top) + 1)]
+        sums = [np.full((1, *proj.shape[1:]), complex(-0.0, -0.0))]
+        sums += [proj[np.array(sets)].sum(axis=1) for sets in by_size[1:]]
+        tables.append(_ChoiceTable(list(itertools.chain.from_iterable(by_size)),
+                                   np.concatenate(sums), np.cumsum([0] + list(map(len, by_size)))))
     return tables
 
 
 def _choice_chunks(tables, n: int):
-    """Level-n subset operators in chunks of ``_ORACLE_CHUNK``, in split
-    order, then ``itertools.product`` order; consecutive splits share a
-    chunk.  Yields (pieces, operators), a piece (first operator, split,
-    table rows) per split the chunk holds; ``_chunk_rows`` looks one up."""
-    pieces, ops, size = [], [], 0
-    for split in itertools.product(*(range(len(row)) for row in tables)):
-        if sum(split) != n:
-            continue
-        parts = [row[k] for row, k in zip(tables, split)]
-        shape = tuple(len(sets) for sets, _ in parts)
-        total = math.prod(shape)
-        start = 0
-        while start < total:
-            stop = min(total, start + _ORACLE_CHUNK - size)
-            rows = np.unravel_index(np.arange(start, stop), shape)
-            pieces.append((size, split, rows))
-            # empty index sets add nothing; n >= 1 leaves a term
-            ops.append(sum(sums[r] for (_, sums), r, k in zip(parts, rows, split) if k))
-            size += stop - start
-            start = stop
-            if size == _ORACLE_CHUNK:
-                yield pieces, np.concatenate(ops)
-                pieces, ops, size = [], [], 0
-    if size:
-        yield pieces, np.concatenate(ops)
-
-
-def _chunk_rows(pieces, i: int):
-    """Split and per-observable table rows of operator i of a chunk."""
-    first, split, rows = next(piece for piece in reversed(pieces) if piece[0] <= i)
-    return split, [r[i - first] for r in rows]
+    """Level-n subset operators in chunks of at most ``_ORACLE_CHUNK``:
+    splits (a size per observable, summing to n) in ``itertools.product``
+    order, each split's subsets in ``itertools.product`` order.  Splits
+    are taken ``_ORACLE_CHUNK`` at a time, and consecutive splits of one
+    such block share a chunk.  Yields (rows, operators), rows[a] the table
+    rows of observable a; each operator is +0.0 plus its rows' sums, one
+    gather-and-add per observable, so a -0.0 entry of a sum reads +0.0."""
+    product = itertools.product(*(range(len(t.starts) - 1) for t in tables))
+    splits = (split for split in product if sum(split) == n)
+    while block := list(itertools.islice(splits, _ORACLE_CHUNK)):
+        ks = np.array(block).T  # (observables, splits)
+        first = np.stack([t.starts[k] for t, k in zip(tables, ks)])
+        sizes = np.stack([t.starts[k + 1] for t, k in zip(tables, ks)]) - first
+        counts = sizes.prod(axis=0)
+        ends = np.cumsum(counts)
+        for lo in range(0, int(ends[-1]), _ORACLE_CHUNK):
+            pos = np.arange(lo, min(lo + _ORACLE_CHUNK, int(ends[-1])))
+            split = np.searchsorted(ends, pos, side="right")
+            local = pos - (ends - counts)[split]
+            rows = [None] * len(tables)
+            for a in reversed(range(len(tables))):  # the last observable varies fastest
+                local, coord = np.divmod(local, sizes[a, split])
+                rows[a] = first[a, split] + coord
+            ops = np.zeros((len(pos), *tables[0].sums.shape[1:]), dtype=complex)
+            for t, r in zip(tables, rows):
+                ops += t.sums[r]
+            yield rows, ops
 
 
 def enumerate_choices(observables, n: int) -> list[ChoiceOperator]:
@@ -308,20 +322,16 @@ def enumerate_choices(observables, n: int) -> list[ChoiceOperator]:
     _check_level(n, _check_observables(observables)[1])
     check_choice_budget(observables, [n])
     tables = _choice_tables(observables, n)
-    choices = []
-    for pieces, ops in _choice_chunks(tables, n):
-        for i, op in enumerate(ops):
-            split, rows = _chunk_rows(pieces, i)
-            choices.append(ChoiceOperator(
-                tuple(row[k][0][r] for row, k, r in zip(tables, split, rows)), op, n))
-    return choices
+    return [ChoiceOperator(tuple(t.sets[r] for t, r in zip(tables, row)), op, n)
+            for rows, ops in _choice_chunks(tables, n)
+            for row, op in zip(zip(*(r.tolist() for r in rows)), ops)]
 
 
 def _choice_at(observables, proj: np.ndarray, state: np.ndarray, n: int) -> ChoiceOperator:
     """The subset operator of the n largest Born probabilities of a state."""
     top = np.sort(np.argpartition(_born(state[None], proj)[0], -n)[-n:])
-    edges = np.cumsum([0] + [obs.outcome_count for obs in observables])
-    sets = [top[(top >= lo) & (top < hi)] - lo for lo, hi in zip(edges[:-1], edges[1:])]
+    edges = list(itertools.accumulate((obs.outcome_count for obs in observables), initial=0))
+    sets = [[k - lo for k in top.tolist() if lo <= k < hi] for lo, hi in zip(edges, edges[1:])]
     return ChoiceOperator(tuple(sets), proj[top].sum(axis=0), n)
 
 
@@ -415,7 +425,12 @@ class _Oracle:
 
 def _capped_simplex_lp(count: int, n: int):
     """A fresh HiGHS model, no cuts yet: minimize -z over columns w_k in
-    [0, 1] (k < count) and z free, row 0 sum_k w_k = n."""
+    [0, 1] (k < count) and z free, row 0 sum_k w_k = n.  Returns it and the
+    status of an optimal solve."""
+    # scipy's private binding of the HiGHS LP solver; a model kept across solves
+    # warm-starts.  Imported here, at a level's first cut: it loads scipy.optimize.
+    from scipy.optimize._highspy import _core as _highs
+
     lp = _highs._Highs()
     # the options scipy's HiGHS LP method sets: presolve on, dual simplex, quiet
     for option, value in (("presolve", "on"), ("simplex_strategy", 1), ("output_flag", False),
@@ -424,7 +439,7 @@ def _capped_simplex_lp(count: int, n: int):
     lp.addVars(count + 1, np.r_[np.zeros(count), -np.inf], np.r_[np.ones(count), np.inf])
     lp.changeColCost(count, -1.0)
     lp.addRow(float(n), float(n), count, np.arange(count, dtype=np.int32), np.ones(count))
-    return lp
+    return lp, _highs.HighsModelStatus.kOptimal
 
 
 def _kelley_dual_bound(proj: np.ndarray, n: int, target: float, max_lps: int,
@@ -461,7 +476,7 @@ def _kelley_dual_bound(proj: np.ndarray, n: int, target: float, max_lps: int,
         if best >= target or lps == max_lps:
             break
         if lps == 0:  # built at the first cut: levels closed by n/L need no model
-            lp = _capped_simplex_lp(count, n)
+            lp, optimal = _capped_simplex_lp(count, n)
         vec = vecs[:, 0]
         grad = flat @ np.outer(vec, vec.conj()).ravel().view(float)
         kets.append(vec)
@@ -470,7 +485,7 @@ def _kelley_dual_bound(proj: np.ndarray, n: int, target: float, max_lps: int,
         lp.addRow(-np.inf, float(lam[0] - grad @ w), count + 1, cols, cut)
         lp.run()
         lps += 1
-        if lp.getModelStatus() != _highs.HighsModelStatus.kOptimal:
+        if lp.getModelStatus() != optimal:
             break
         solution = lp.getSolution()
         x = np.array(solution.col_value)
@@ -728,8 +743,8 @@ def _max_certificates(observables, levels, constraint: StateConstraint) -> list[
     proj, tables = _projector_stack(observables), _choice_tables(observables, total // 2)
     certs = {}
     for n in sorted({min(n, total - n) for n in levels}):
-        top, bottom = (-np.inf, None, None), (np.inf, None, None)
-        for pieces, ops in _choice_chunks(tables, n):
+        top, bottom = (-np.inf, None), (np.inf, None)
+        for rows, ops in _choice_chunks(tables, n):
             w = np.linalg.eigvalsh(ops)
             hi, lo = w[:, -1], w[:, 0]
             if constraint.r is not None:
@@ -737,12 +752,12 @@ def _max_certificates(observables, levels, constraint: StateConstraint) -> list[
                 hi, lo = _at_radius(hi, half, constraint), _at_radius(lo, half, constraint)
             i, j = int(hi.argmax()), int(lo.argmin())
             if hi[i] > top[0]:
-                top = (hi[i], *_chunk_rows(pieces, i))
+                top = (hi[i], [t.sets[r[i]] for t, r in zip(tables, rows)])
             if lo[j] < bottom[0]:
-                bottom = (lo[j], *_chunk_rows(pieces, j))
+                bottom = (lo[j], [t.sets[r[j]] for t, r in zip(tables, rows)])
         # at n = L/2 both ends are one level, and its own maximum wins
-        for level, (_, split, rows), complement in ((total - n, bottom, True), (n, top, False)):
-            sets = [row[k][0][i].tolist() for row, k, i in zip(tables, split, rows)]
+        ends = [(n, top, False)] + ([(total - n, bottom, True)] if 2 * n < total else [])
+        for level, (_, sets), complement in ends:
             if complement:
                 sets = [[i for i in range(c) if i not in s] for c, s in zip(counts, sets)]
             cmat = proj[[o + i for o, s in zip(offsets, sets) for i in s]].sum(axis=0)

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -48,11 +49,9 @@ class InputError(UqcrError):
 # ---------------------------------------------------------------------------
 # JSON <-> numpy
 
-def _complex_to_json(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
 def _matrix_to_json(m: np.ndarray) -> list:
-    return [[_complex_to_json(z) for z in row] for row in np.asarray(m)]
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(*m.shape, 2).tolist()
 
 def _json_to_complex(x, field: str) -> complex:
     if (not isinstance(x, (list, tuple))) or len(x) != 2:
@@ -108,7 +107,61 @@ def _load_json(path: str) -> dict:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, bit for bit: ``json``
+    itself turns to its pure-Python encoder whenever it indents."""
+    return _json_text(obj, "\n") + "\n"
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, float):
+        return f'"{_json_float(key)}"'
+    if key is None or key is True or key is False:
+        return '"null"' if key is None else '"true"' if key else '"false"'
+    if isinstance(key, int):
+        return f'"{int.__repr__(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(obj, newline: str) -> str:
+    """``obj`` as ``json`` indents it, each line starting with ``newline``;
+    types are tested in ``json``'s order."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        sep = "," + inner
+        if type(obj[0]) is float and all(type(x) is float for x in obj):
+            # vectors and [re, im] pairs in one join; only nan and inf put an "n" in a repr
+            text = sep.join(map(float.__repr__, obj))
+            if "n" in text:
+                text = sep.join(map(_json_float, obj))
+        else:
+            text = sep.join([_json_text(x, inner) for x in obj])
+        return f"[{inner}{text}{newline}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -253,6 +306,11 @@ def _probvector_to_json(p: mj.ProbVector) -> list:
     return [float(x) for x in p.entries]
 
 
+def _fields(obj) -> dict:
+    """A flat dataclass's fields by name (``dataclasses.asdict`` deep-copies)."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def _certificate_to_json(cert: bd.BoundCertificate) -> dict:
     return {
         "level": cert.level,
@@ -263,7 +321,7 @@ def _certificate_to_json(cert: bd.BoundCertificate) -> dict:
             "level": cert.achieving_choice.level,
             "index_sets": [list(s) for s in cert.achieving_choice.index_sets],
         },
-        "diagnostics": dataclasses.asdict(cert.diagnostics),
+        "diagnostics": _fields(cert.diagnostics),
     }
 
 
@@ -372,8 +430,8 @@ def cmd_bounds(args) -> int:
             {"name": obs.name, "projectors": [_matrix_to_json(p) for p in obs.projectors]}
             for obs in observables
         ],
-        "constraint": dataclasses.asdict(constraint),
-        "solver_config": dataclasses.asdict(cfg),
+        "constraint": _fields(constraint),
+        "solver_config": _fields(cfg),
         "total": t.total,
         "t": _probvector_to_json(t),
         "s": _probvector_to_json(s),
@@ -447,6 +505,9 @@ def cmd_entropy(args) -> int:
 
 def cmd_coherence(args) -> int:
     dim, bases = parse_observable_file(_load_json(args.bases), args.bases)
+    if len(bases) < 2:
+        raise InputError(f"--bases: complementarity needs at least two bases, "
+                         f"{args.bases} has {len(bases)}")
     for basis in bases:
         if not basis.is_rank_one:
             raise InputError(f"--bases: observable {basis.name!r} has degenerate outcomes; "

@@ -55,16 +55,28 @@ def coherence_vector_pure(psi, basis: ProjectiveObservable) -> CoherenceVector:
     return CoherenceVector(basis.name, mj.from_unsorted(probs, 1.0), "exact")
 
 
+# bytes of Ginibre draws per slice of the Haar block; QR and its temporaries
+# then take a few MB beside the block, whatever the sample count
+_HAAR_SLICE_BYTES = 1 << 20
+
+
 @lru_cache(maxsize=8)
 def _haar_block(samples: int, seed: int, rank: int) -> np.ndarray:
     """Read-only ((samples + 1) rank, rank) block: the identity, then the
     conjugate of each Haar unitary (QR of a complex Ginibre matrix drawn
-    from ``seed``, phases fixed by diag(R)); the last 8 keys stay cached."""
-    g = np.random.default_rng(seed).standard_normal((samples, 2, rank, rank))
-    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    u = q * (d / np.abs(d))[:, None, :]
-    block = np.concatenate((np.eye(rank)[None], u.conj())).reshape(-1, rank)
+    from ``seed``, phases fixed by diag(R)); the last 8 keys stay cached.
+    Slices of samples are drawn and factored into the block in turn, in
+    the order of one draw of all samples."""
+    rng = np.random.default_rng(seed)
+    block = np.empty((samples + 1, rank, rank), dtype=complex)
+    block[0] = np.eye(rank)
+    step = max(1, _HAAR_SLICE_BYTES // (16 * rank * rank))
+    for lo in range(0, samples, step):
+        g = rng.standard_normal((min(step, samples - lo), 2, rank, rank))
+        q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        np.conjugate(q * (d / np.abs(d))[:, None, :], out=block[1 + lo:1 + lo + len(g)])
+    block = block.reshape(-1, rank)
     block.setflags(write=False)
     return block
 

@@ -37,10 +37,12 @@ from uqcr.bounds import (
     _choice_tables,
     _born,
     _kelley_dual_bound,
+    _max_certificates,
     _projector_stack,
     _top_n_sum,
     planar_triple_observables,
 )
+from uqcr import bounds as bounds_module
 from uqcr.quantum import PAULIS
 
 from helpers import (
@@ -54,6 +56,7 @@ from helpers import (
     product_order_index_sets,
     random_orthonormal_basis,
     reference_kelley_dual_bound,
+    reference_level_operators,
     sample_pure_states,
     sorted_prefix_matrix,
 )
@@ -357,18 +360,45 @@ def test_max_topn_levels_match_supremum():
 ], ids=["qutrit_mubs", "haar_d4x4", "coarse_d4x3"])
 def test_choice_chunks_pack_splits(observables):
     # consecutive splits share chunks: every chunk but a level's last is
-    # full, and each operator's (split, rows) piece names its own sum
+    # full, and each operator is the sum of the table rows it names, in
+    # product order
     total = sum(o.outcome_count for o in observables)
     tables = _choice_tables(observables, total // 2)
     for n in range(1, total // 2 + 1):
         chunks = list(_choice_chunks(tables, n))
         assert len(chunks) == -(-math.comb(total, n) // _ORACLE_CHUNK)
         assert all(len(ops) == _ORACLE_CHUNK for _, ops in chunks[:-1])
-        for pieces, ops in chunks:
-            for first, split, rows in pieces:
-                for i, r in enumerate(zip(*rows)):
-                    parts = [row[k][1][j] for row, k, j in zip(tables, split, r) if k]
-                    assert np.array_equal(ops[first + i], sum(parts))
+        sets = []
+        for rows, ops in chunks:
+            for i, row in enumerate(zip(*rows)):
+                sets.append(tuple(t.sets[r] for t, r in zip(tables, row)))
+                assert np.array_equal(ops[i], sum(t.sums[r] for t, r in zip(tables, row)))
+        assert sets == product_order_index_sets(observables, n)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_choice_chunks_blocks_of_splits_keep_product_order(monkeypatch, chunk):
+    # chunks and blocks of splits far smaller than the operator and split
+    # counts: the operators, their order and the max certificates stay put;
+    # a one-outcome observable adds splits with an empty set
+    observables = [coarse_grained_basis(4, (2, 1, 1), np.random.default_rng(i)) for i in range(3)]
+    observables.append(ProjectiveObservable((np.eye(4, dtype=complex),), "trivial"))
+    total = sum(o.outcome_count for o in observables)
+    want = {n: list(reference_level_operators(observables, n)) for n in range(1, total)}
+    certs = _max_certificates(observables, range(1, total), StateConstraint.all_states())
+    monkeypatch.setattr(bounds_module, "_ORACLE_CHUNK", chunk)
+    tables = _choice_tables(observables, total - 1)
+    for n in range(1, total):
+        chunks = list(_choice_chunks(tables, n))
+        assert all(0 < len(ops) <= chunk for _, ops in chunks)
+        sets = [tuple(t.sets[r] for t, r in zip(tables, row))
+                for rows, _ in chunks for row in zip(*(r.tolist() for r in rows))]
+        assert sets == [s for ref_sets, _ in want[n] for s in ref_sets]
+        ops = np.concatenate([ops for _, ops in chunks])
+        assert ops.tobytes() == np.concatenate([ops for _, ops in want[n]]).tobytes()
+    small = _max_certificates(observables, range(1, total), StateConstraint.all_states())
+    for a, b in zip(certs, small):
+        assert (a.value, a.achieving_choice.index_sets) == (b.value, b.achieving_choice.index_sets)
 
 
 def test_supremum_memory_is_one_chunk():

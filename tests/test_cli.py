@@ -5,12 +5,14 @@ import re
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from uqcr import infimum_t, min_topn_over_states
+from uqcr import cli, infimum_t, min_topn_over_states
 from uqcr.bounds import SolverConfig, StateConstraint
-from uqcr.cli import main
+from uqcr.cli import _dump_json, main
 
 from helpers import coarse_grained_basis, random_orthonormal_basis
 
@@ -23,6 +25,23 @@ def config(name):
 
 def run(args):
     return main(args)
+
+
+def _json_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture(autouse=True, scope="module")
+def documents_match_json():
+    # every document the tests here write, through the direct writer, has json's bytes
+    def checked(obj):
+        text = _dump_json(obj)
+        assert text == _json_dumps(obj)
+        return text
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_dump_json", checked)
+        yield
 
 
 @pytest.fixture()
@@ -206,6 +225,23 @@ def test_coherence_rejects_coarse_bases_before_solving(tmp_path, capsys, monkeyp
         captured = capsys.readouterr()
         assert "error: --bases: observable 'c' has degenerate outcomes" in captured.err
         assert captured.out == ""
+
+
+def test_coherence_rejects_a_single_basis_before_solving(tmp_path, capsys, monkeypatch):
+    from uqcr import coherence
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the basis count must be checked before any solve")
+
+    monkeypatch.setattr(coherence, "coherence_complementarity_bounds", no_solve)
+    bases = tmp_path / "one.json"
+    bases.write_text(json.dumps({"dimension": 2, "observables": [
+        {"name": "z", "preset": "pauli_z"}]}))
+    assert run(["coherence", "--bases", str(bases), "--state", config("states/ket_z_plus.json")]) == 1
+    captured = capsys.readouterr()
+    assert f"error: --bases: complementarity needs at least two bases, {bases} has 1" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_coherence_refuses_oversized_samples(capsys, monkeypatch):
@@ -590,3 +626,69 @@ def test_tilted_triple_config_round_trip(tmp_path):
             "--out", str(tmp_path / "r.json"),
         ]
     ) == 0
+
+
+_FLOATS = (st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from([-0.0, 0.0, 1e-05, 1e16, 5e-324, math.nan, math.inf, -math.inf]))
+_TEXT = st.text() | st.sampled_from(["", "\u03c8", "\u540d", "tab\tquote\"", "\u2028", "\ud800", "\x7f"])
+_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DOCS)
+def test_writer_matches_json_dumps(doc):
+    assert _dump_json(doc) == _json_dumps(doc)
+
+
+def test_writer_matches_json_on_subclasses_tuples_and_keys():
+    class Float(float):
+        def __repr__(self):
+            return "not used"
+
+    class Int(int):
+        def __repr__(self):
+            return "not used"
+
+    docs = [
+        {"f": Float(0.1), "i": Int(3), "np": np.float64(-2.5), "t": (1, [2.0, Float(3.0)]),
+         "floats": (1.0, math.nan, -0.0), "empty": [[], {}, ()], "b": [True, False, None]},
+        {1: "a", 10: "b", -2: [1.5]},
+        {1.5: 0, -0.0: 1, math.inf: 2, -math.inf: 3},
+        {False: 0, True: 1},
+        {None: [None]},
+        [np.float64(1e16), np.float64(5e-324)],
+        "\u00e9",
+        -0.0,
+        [],
+    ]
+    for doc in docs:
+        assert _dump_json(doc) == _json_dumps(doc)
+
+
+@pytest.mark.parametrize("bad", [np.int64(3), {1, 2}, 1j, b"x", object(), {"a": [np.float32(1)]},
+                                 {(1, 2): 1}, [1.0, np.float32(2)]],
+                         ids=["np_int64", "set", "complex", "bytes", "object", "np_float32",
+                              "tuple_key", "float32_in_floats"])
+def test_writer_rejects_what_json_rejects(bad):
+    with pytest.raises(TypeError):
+        _json_dumps(bad)
+    with pytest.raises(TypeError):
+        _dump_json(bad)
+
+
+def test_import_and_rank1_bounds_leave_scipy_optimize_unloaded(tmp_path):
+    # the HiGHS binding, and with it all of scipy.optimize, loads at a
+    # level's first Kelley cut; run from src/ to find the checkout's package
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = str(tmp_path / "xz.json")
+    code = ("import sys, uqcr\n"
+            "assert 'scipy.optimize' not in sys.modules, 'import uqcr'\n"
+            "from uqcr.cli import main\n"
+            f"assert main(['bounds', '--observables', {config('pauli_xz.json')!r}, "
+            f"'--out', {out!r}]) == 0\n"
+            "assert 'scipy.optimize' not in sys.modules, 'rank-1 bounds'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=src)
+    assert proc.returncode == 0, proc.stderr

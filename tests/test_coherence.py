@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,37 @@ def test_cached_haar_blocks_match_fresh_draws():
         coh._haar_block.cache_clear()
         fresh = coherence_vector_mixed_approx(*call).vector.prefix_sums()
         assert np.array_equal(cached[i], fresh)
+
+
+def test_sliced_haar_block_matches_one_draw():
+    # 40,000 rank-2 samples span three slices of the block
+    samples, seed, rank = 40_000, 9, 2
+    assert samples > 2 * (coh._HAAR_SLICE_BYTES // (16 * rank * rank))
+    g = np.random.default_rng(seed).standard_normal((samples, 2, rank, rank))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    u = q * (d / np.abs(d))[:, None, :]
+    one_draw = np.concatenate((np.eye(rank)[None], u.conj())).reshape(-1, rank)
+    coh._haar_block.cache_clear()
+    try:
+        assert coh._haar_block(samples, seed, rank).tobytes() == one_draw.tobytes()
+    finally:
+        coh._haar_block.cache_clear()
+
+
+def test_haar_block_memory_is_near_the_block():
+    # 2^16 samples at rank 6 make a 37.7 MB block; one draw of all the
+    # samples peaked at about 6x that
+    coh._haar_block.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        block = coh._haar_block(1 << 16, 0, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        coh._haar_block.cache_clear()
+    assert peak - before < 2 * block.nbytes
 
 
 def test_haar_block_is_read_only_and_prefix_extends():

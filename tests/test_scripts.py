@@ -1,3 +1,7 @@
+import hashlib
+import importlib.util
+import io
+import json
 import os
 import re
 import subprocess
@@ -45,3 +49,23 @@ def test_reproduce_qubit_envelopes_matches_closed_forms(tmp_path):
     assert len(deviations) == 3
     assert all(float(d) <= 1e-6 for d in deviations), deviations
     assert "== qubit_mubs_bloch_0.5 (constraint: fixed_bloch_norm) ==" in proc.stdout
+
+
+def test_reference_digests_two_jobs(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "reference_digests", os.path.join(ROOT, "scripts", "reference_digests.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    wl = script.load_workloads()
+    jobs = [wl.pauli_xz(), wl.mub3_all()]
+    out = io.StringIO()
+    assert script.write_digests(jobs, str(tmp_path), out)
+    lines = out.getvalue().splitlines()
+    assert [line.split("  ")[1] for line in lines] == ["pauli_xz", "mub3_all"]
+    for line, job in zip(lines, jobs):
+        blob = (tmp_path / f"{job.ref_key}.bounds.json").read_bytes()
+        assert line.split("  ")[0] == hashlib.sha256(blob).hexdigest()
+        assert json.loads(blob)["solver_config"]["seed"] == 0
+    again = io.StringIO()
+    assert script.write_digests(jobs, str(tmp_path / "again"), again)
+    assert again.getvalue() == out.getvalue()
