@@ -24,11 +24,11 @@ Pure qubit minima are exact, the least value over the candidates an arc
 walk over the tie circles lists (``_pure_qubit_levels``); there
 ``iterations`` counts the candidates and ``multistart_index`` is the
 winner's kind (0 a cell point, 1 a circle point, 2 a crossing).  Pure
-minima in d >= 3 have no certificate: one batched subgradient scan over
-kets (``_ket_scan``) starts from each level's best sampled ket and from
-random ones, and pools every iterate into one minimum per level.  The
-levels share one candidate set, each candidate's top-n sums are concave
-in n, and so are the minima.
+minima in d >= 3 have no certificate: a batched subgradient scan over
+kets (``_ket_scan``) runs from random kets, then settles from each
+level's best ket and a few perturbed copies, and pools every iterate of
+both stages into one minimum per level.  The levels share one candidate
+set, each candidate's top-n sums are concave in n, and so are the minima.
 
 A qubit state at Bloch norm r is r |psi><psi| + (1 - r) I/2, so its Born
 probabilities are h_k + r (q_k - h_k), with q_k those of the pure state
@@ -70,12 +70,6 @@ class LevelOutOfRange(UqcrError):
     """Level n must satisfy 1 <= n <= L - 1 (L = total outcome count)."""
 
 
-class SolverDiverged(UqcrError):
-    """A pure level minimum in d >= 3 exceeds the sampling oracle's by more than tol.
-
-    Qubit levels are solved exactly and never raise it."""
-
-
 class EnumerationTooLarge(UqcrError):
     """One level has more than ``CHOICE_OPERATOR_LIMIT`` subset operators, or
     the sweep's tables would take more than ``CHOICE_TABLE_BYTES``."""
@@ -87,9 +81,9 @@ CHOICE_OPERATOR_LIMIT = 1 << 24
 # bytes the sweep's per-observable tables of summed projectors may take
 CHOICE_TABLE_BYTES = 1 << 30
 
-# oracle samples, scan kets, subset operators or qubit arcs per chunk: one GEMM or
-# batched eigvalsh amortises its call overhead while the chunk stays a few MB
-_ORACLE_CHUNK = 4096
+# scan kets, subset operators or qubit arcs per chunk: one GEMM or batched
+# eigvalsh amortises its call overhead while the chunk stays a few MB
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,6 @@ class SolverConfig:
     max_iter: int = 80  # cutting-plane LPs per level over all states
     multistarts: int = 64  # scan starts per level, pure states in d >= 3 only
     tol: float = 1e-7
-    oracle_samples: int = 100_000  # pure states in d >= 3 only
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -108,7 +101,6 @@ class SolverConfig:
             ("max_iter", self.max_iter >= 0, ">= 0"),
             ("multistarts", self.multistarts >= 1, ">= 1"),
             ("tol", 0.0 < self.tol < math.inf, "finite and > 0"),
-            ("oracle_samples", self.oracle_samples >= 1, ">= 1"),
             ("seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:
@@ -149,15 +141,14 @@ class SolverDiagnostics:
     """Per-level solver record.
 
     ``iterations``: LP solves over all states; candidate points for pure
-    and fixed-norm qubit levels and scan evaluations (kets times steps)
-    for pure states in d >= 3, one count for all levels.
+    and fixed-norm qubit levels and scan evaluations (kets times steps,
+    both stages) for pure states in d >= 3, one count for all levels.
     ``multistart_index``: over all states 0 is the maximally mixed state,
     1 the LP-multiplier state; for qubits the winning candidate's kind (0
     a cell point, 1 a circle point, 2 a crossing); in d >= 3 the winning
-    scan start, 0 an oracle ket.  ``residual`` is the scan's value less
-    ``oracle_min``, the sampling oracle's minimum; only pure levels in
-    d >= 3 run the oracle, so elsewhere they are 0.0 and None, as on max
-    certificates.
+    scan start, or ``multistarts`` plus the winning settling copy (0 the
+    best ket itself).  ``residual`` and ``oracle_min`` are always 0.0 and
+    None; the bounds-file format keeps them.
     """
 
     iterations: int
@@ -287,23 +278,23 @@ def _choice_tables(observables, top: int) -> list[_ChoiceTable]:
 
 
 def _choice_chunks(tables, n: int):
-    """Level-n subset operators in chunks of at most ``_ORACLE_CHUNK``:
+    """Level-n subset operators in chunks of at most ``_CHUNK``:
     splits (a size per observable, summing to n) in ``itertools.product``
     order, each split's subsets in ``itertools.product`` order.  Splits
-    are taken ``_ORACLE_CHUNK`` at a time, and consecutive splits of one
+    are taken ``_CHUNK`` at a time, and consecutive splits of one
     such block share a chunk.  Yields (rows, operators), rows[a] the table
     rows of observable a; each operator is +0.0 plus its rows' sums, one
     gather-and-add per observable, so a -0.0 entry of a sum reads +0.0."""
     product = itertools.product(*(range(len(t.starts) - 1) for t in tables))
     splits = (split for split in product if sum(split) == n)
-    while block := list(itertools.islice(splits, _ORACLE_CHUNK)):
+    while block := list(itertools.islice(splits, _CHUNK)):
         ks = np.array(block).T  # (observables, splits)
         first = np.stack([t.starts[k] for t, k in zip(tables, ks)])
         sizes = np.stack([t.starts[k + 1] for t, k in zip(tables, ks)]) - first
         counts = sizes.prod(axis=0)
         ends = np.cumsum(counts)
-        for lo in range(0, int(ends[-1]), _ORACLE_CHUNK):
-            pos = np.arange(lo, min(lo + _ORACLE_CHUNK, int(ends[-1])))
+        for lo in range(0, int(ends[-1]), _CHUNK):
+            pos = np.arange(lo, min(lo + _CHUNK, int(ends[-1])))
             split = np.searchsorted(ends, pos, side="right")
             local = pos - (ends - counts)[split]
             rows = [None] * len(tables)
@@ -343,7 +334,7 @@ def top_n_sum(p: mj.ProbVector, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pure-state sampling (the oracle side of the pure solve in d >= 3)
+# pure-state helpers
 
 def _at_radius(x, x0, constraint: StateConstraint):
     """x0 + r (x - x0) at a fixed Bloch norm r, else x unchanged.
@@ -363,61 +354,6 @@ def _pool_minima(minima, argmin, prefix, offset: int) -> np.ndarray:
     minima[better] = vals[better]
     argmin[better] = idx[better] + offset
     return better
-
-
-class _Oracle:
-    """Per-level minima of the top-n sum over sampled pure states.
-
-    Keeps only its ``count`` Haar-random unit kets as ``states``, the
-    sample along axis 0, and, per level, the smallest prefix sum of the
-    sorted Born probabilities and the sample that reached it; a tie goes
-    to the earlier sample.  The kets are walked in chunks of
-    ``_ORACLE_CHUNK``.  With W_k the orthonormal rows of Pi_k
-    (Pi_k = W_k^dag W_k), the Born probability of a ket g is
-    |W_k g|^2 / |g|^2: one real GEMM per chunk (``born``).  Hilbert-Schmidt
-    states, partial traces of Haar kets on C^d (x) C^d, come from the pure
-    oracle of the projectors Pi_k (x) I.
-    """
-
-    def __init__(self, proj_stack: np.ndarray, dim: int, count: int, rng: np.random.Generator):
-        self.states = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-        self.states /= np.linalg.norm(self.states, axis=1)[:, None]
-        blocks = []
-        for p in proj_stack:
-            w, v = np.linalg.eigh(p)
-            rows = v[:, w > 0.5].conj().T
-            blocks.append(np.block([[rows.real, -rows.imag], [rows.imag, rows.real]]))
-        # real form of the stacked W_k: its rows give [Re W_k g; Im W_k g] per
-        # projector, and its transpose is the real form of the stacked W_k^dag;
-        # ``_owner`` sums each projector's squared rows
-        self._factors = np.concatenate(blocks)
-        self._owner = np.repeat(np.eye(len(blocks)), [len(b) for b in blocks], axis=1)
-        levels = proj_stack.shape[0]
-        self._minima = np.full(levels, np.inf)
-        self._argmin = np.zeros(levels, dtype=int)
-        for start, prefix in zip(range(0, count, _ORACLE_CHUNK), self.prefix_chunks()):
-            _pool_minima(self._minima, self._argmin, prefix, start)
-
-    def born(self, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Of kets in real form, (size, 2d) with the real parts first: the amplitudes
-        [Re W_k g; Im W_k g], the ascending order of the Born probabilities, (size, L),
-        and their sorted prefix sums, (L, size) with row n-1 the top-n sums."""
-        amps = parts @ self._factors.T
-        probs = np.square(amps) @ self._owner.T
-        probs /= np.square(parts).sum(axis=1)[:, None]
-        np.clip(probs, 0.0, 1.0, out=probs)
-        order = probs.argsort(axis=1)
-        return amps, order, np.cumsum(np.take_along_axis(probs, order[:, ::-1], axis=1), axis=1).T
-
-    def prefix_chunks(self):
-        """Prefix sums of the sorted Born probabilities, one (L, chunk) array per chunk."""
-        for start in range(0, self.states.shape[0], _ORACLE_CHUNK):
-            draws = self.states[start:start + _ORACLE_CHUNK]
-            yield self.born(np.concatenate([draws.real, draws.imag], axis=1))[2]
-
-    def min_at(self, level: int) -> tuple[float, np.ndarray]:
-        ket = self.states[int(self._argmin[level - 1])]
-        return float(self._minima[level - 1]), np.outer(ket, ket.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +530,8 @@ def _pure_qubit_levels(proj: np.ndarray, levels, constraint: StateConstraint):
 
     def offer(points, k):
         nonlocal count
-        for lo in range(0, len(points), _ORACLE_CHUNK):
-            chunk = points[lo:lo + _ORACLE_CHUNK]
+        for lo in range(0, len(points), _CHUNK):
+            chunk = points[lo:lo + _CHUNK]
             prefix = np.cumsum(np.sort(base + chunk @ wvecs.T, axis=1)[:, ::-1], axis=1)[:, :-1]
             i = prefix.argmin(axis=0)
             value = prefix[i, np.arange(top)]
@@ -613,8 +549,8 @@ def _pure_qubit_levels(proj: np.ndarray, levels, constraint: StateConstraint):
     fixed = np.array([[0.0, 0.0, 1.0]])
     offer(crossings, 2)
     offer(toward(top_sums(fixed)[0], fixed), 0)
-    for lo in range(0, len(mid), _ORACLE_CHUNK):
-        circ, m = circle[lo:lo + _ORACLE_CHUNK], mid[lo:lo + _ORACLE_CHUNK]
+    for lo in range(0, len(mid), _CHUNK):
+        circ, m = circle[lo:lo + _CHUNK], mid[lo:lo + _CHUNK]
         side = normal[circ] - offset[circ, None] * m
         side *= 1e-7 / np.linalg.norm(side, axis=1)[:, None]
         nudged = np.concatenate([m + side, m - side])
@@ -638,64 +574,89 @@ def _pure_qubit_levels(proj: np.ndarray, levels, constraint: StateConstraint):
 
 # 50 steps of 0.3 / sqrt(k + 1) explore, 200 shrinking by 0.85 settle each start
 _SCAN_STEPS = np.r_[0.3 / np.sqrt(np.arange(1, 51)), 0.3 / np.sqrt(50) * 0.85 ** np.arange(1, 201)]
+# the settling stage: each level's best ket and _SETTLE_COPIES copies of it
+# perturbed by _SETTLE_SCALE times a Gaussian, through 300 steps shrinking by 0.98
+_SETTLE_STEPS = 0.05 * 0.98 ** np.arange(300)
+_SETTLE_COPIES = 3
+_SETTLE_SCALE = 0.02
 
 
-def _ket_scan(oracle: _Oracle, kets: np.ndarray, levels: np.ndarray):
-    """Projected-subgradient scan of unit kets, ``_ORACLE_CHUNK`` rows at a time.
+def _ket_scan(proj: np.ndarray, kets: np.ndarray, levels: np.ndarray, steps: np.ndarray):
+    """Projected-subgradient scan of unit kets, ``_CHUNK`` rows at a time.
 
-    Row i descends the top-``levels[i]`` sum: it steps against 2 C_S psi (S
-    its top-n set) less its psi part, normalised, and is renormalised.  In
-    real form C_S psi is the oracle's factors, transposed, times psi's
-    amplitudes on S.  Every iterate's prefix sums pool into one minimum per
-    level.  Returns the minima of levels 1..L, their kets and rows, and the
-    count of kets evaluated.
+    Row i descends the top-``levels[i]`` sum with the given step sizes: it
+    steps against 2 C_S psi (S its top-n set) less its psi part,
+    normalised, and is renormalised.  With W_k the orthonormal rows of
+    Pi_k (Pi_k = W_k^dag W_k), the Born probability of a ket g is
+    |W_k g|^2 / |g|^2, and C_S g is the sum over S of W_k^dag W_k g: in
+    real form, one GEMM each way per step.  Every iterate's prefix sums
+    pool into one minimum per level.  Returns the minima of levels 1..L,
+    their kets and rows, and the count of kets evaluated.
     """
+    blocks = []
+    for p in proj:
+        w, v = np.linalg.eigh(p)
+        rows = v[:, w > 0.5].conj().T
+        blocks.append(np.block([[rows.real, -rows.imag], [rows.imag, rows.real]]))
+    # real form of the stacked W_k: its rows give [Re W_k g; Im W_k g] per
+    # projector, and its transpose is the real form of the stacked W_k^dag;
+    # ``owner`` sums each projector's squared rows
+    factors = np.concatenate(blocks)
+    owner = np.repeat(np.eye(len(blocks)), [len(b) for b in blocks], axis=1)
     count, dim = kets.shape
-    total = oracle._owner.shape[0]
+    total = len(proj)
     minima, row = np.full(total, np.inf), np.zeros(total, dtype=int)
     best = np.zeros((total, 2 * dim))
-    for lo in range(0, count, _ORACLE_CHUNK):
-        chunk = kets[lo:lo + _ORACLE_CHUNK]
+    for lo in range(0, count, _CHUNK):
+        chunk = kets[lo:lo + _CHUNK]
         parts = np.concatenate([chunk.real, chunk.imag], axis=1)
         # in each row's ascending order, the positions of its top-n set
-        last = (total - levels[lo:lo + _ORACLE_CHUNK])[:, None] <= np.arange(total)
+        last = (total - levels[lo:lo + _CHUNK])[:, None] <= np.arange(total)
         top = np.empty(last.shape)
-        for size in _SCAN_STEPS:
-            amps, order, prefix = oracle.born(parts)
+        for size in steps:
+            amps = parts @ factors.T
+            probs = np.square(amps) @ owner.T
+            probs /= np.square(parts).sum(axis=1)[:, None]
+            np.clip(probs, 0.0, 1.0, out=probs)
+            order = probs.argsort(axis=1)
+            prefix = np.cumsum(np.take_along_axis(probs, order[:, ::-1], axis=1), axis=1).T
             better = _pool_minima(minima, row, prefix, lo)
             best[better] = parts[row[better] - lo]
             np.put_along_axis(top, order, last, axis=1)
-            grad = (amps * (top @ oracle._owner)) @ oracle._factors
+            grad = (amps * (top @ owner)) @ factors
             grad -= np.einsum("bi,bi->b", grad, parts)[:, None] * parts
             # a zero tangent part (a smooth stationary point) leaves the ket in place
             parts -= size / np.maximum(np.linalg.norm(grad, axis=1), 1e-300)[:, None] * grad
             parts /= np.linalg.norm(parts, axis=1)[:, None]
-    return minima, best[:, :dim] + 1j * best[:, dim:], row, count * len(_SCAN_STEPS)
+    return minima, best[:, :dim] + 1j * best[:, dim:], row, count * len(steps)
 
 
 def _pure_ket_levels(proj, levels, cfg: SolverConfig, entropy: tuple):
-    """Pure levels in d >= 3: ``cfg.multistarts`` scan starts per level, the
-    oracle's best ket for it and random ones drawn from ``entropy``, as are
-    the oracle's samples; the oracle checks every level."""
-    rng_oracle, rng = (np.random.default_rng(s) for s in np.random.SeedSequence(entropy).spawn(2))
+    """Pure levels in d >= 3: ``cfg.multistarts`` random scan starts per
+    level, then a settling scan from each level's best ket and perturbed
+    copies of it, every draw from ``entropy``; both stages pool into the
+    same minima, and a tie keeps the first stage's ket."""
+    # child 1 keeps each seed's starts as earlier versions drew them
+    rng = np.random.default_rng(np.random.SeedSequence(entropy).spawn(2)[1])
     dim, starts, levels = proj.shape[-1], cfg.multistarts, np.asarray(levels)
-    oracle = _Oracle(proj, dim, cfg.oracle_samples, rng_oracle)
     kets = rng.standard_normal((len(levels), starts, 2 * dim)).view(complex)
-    kets[:, 0] = oracle.states[oracle._argmin[levels - 1]]
     kets /= np.linalg.norm(kets, axis=2)[:, :, None]
-    minima, best, row, evaluations = _ket_scan(oracle, kets.reshape(-1, dim), levels.repeat(starts))
+    minima, best, row, evaluations = _ket_scan(
+        proj, kets.reshape(-1, dim), levels.repeat(starts), _SCAN_STEPS)
+    row %= starts
+    copies = 1 + _SETTLE_COPIES  # the best ket itself, then its perturbed copies
+    kets = best[levels - 1, None].repeat(copies, axis=1)
+    kets[:, 1:] += _SETTLE_SCALE * rng.standard_normal((len(levels), copies - 1, 2 * dim)).view(complex)
+    kets /= np.linalg.norm(kets, axis=2)[:, :, None]
+    settled, settled_best, settled_row, more = _ket_scan(
+        proj, kets.reshape(-1, dim), levels.repeat(copies), _SETTLE_STEPS)
+    better = settled < minima
+    minima[better], best[better], row[better] = (
+        settled[better], settled_best[better], starts + settled_row[better] % copies)
     for n in levels:
-        # the scan evaluates each level's oracle ket, so only a fault or
-        # rounding puts its minimum above the oracle's
-        (oracle_min, _), value = oracle.min_at(n), float(minima[n - 1])
-        residual = value - oracle_min
-        if residual > cfg.tol:
-            raise SolverDiverged(
-                f"level {n}: solver value {value!r} exceeds oracle minimum {oracle_min!r} by "
-                f"{residual!r}, over tol={cfg.tol!r}; raise --multistarts or --tol"
-            )
-        yield value, value, np.outer(best[n - 1], best[n - 1].conj()), SolverDiagnostics(
-            evaluations, int(row[n - 1] % starts), float(residual), None, oracle_min)
+        value, ket = float(minima[n - 1]), best[n - 1]
+        diag = SolverDiagnostics(evaluations + more, int(row[n - 1]), 0.0)
+        yield value, value, np.outer(ket, ket.conj()), diag
 
 
 def _min_levels(observables, levels, constraint: StateConstraint, cfg: SolverConfig,

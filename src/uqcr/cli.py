@@ -2,8 +2,8 @@
 
 File formats use JSON with complex numbers as [re, im] pairs and
 matrices row-major; CSV output carries 12 significant digits.  Exit
-codes: 0 success, 1 input error, 2 solver divergence, 3 sandwich
-violation.  All file writes go through write-temp-then-rename.
+codes: 0 success, 1 input error, 3 sandwich violation.  All file
+writes go through write-temp-then-rename.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .quantum import (
 
 EXIT_OK = 0
 EXIT_INPUT = 1
-EXIT_DIVERGED = 2
 EXIT_VIOLATION = 3
 
 BOUNDS_SCHEMA = "uqcr.bounds/1"
@@ -411,7 +410,6 @@ def cmd_bounds(args) -> int:
             max_iter=args.max_iter,
             multistarts=args.multistarts,
             tol=args.tol,
-            oracle_samples=args.oracle_samples,
             seed=args.seed if args.seed is not None else _default_seed(),
         )
     except ValueError as exc:
@@ -558,7 +556,7 @@ def cmd_coherence(args) -> int:
 # argument parsing
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # keep exit code 2 reserved for solver divergence
+    def error(self, message):  # argparse would exit 2; a usage error is an input error
         raise InputError(message)
 
 
@@ -575,8 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--max-iter", type=int, default=80,
                           help="cutting-plane LPs per level over all states")
     p_bounds.add_argument("--tol", type=float, default=1e-7)
-    p_bounds.add_argument("--oracle-samples", type=int, default=100_000,
-                          help="sampled states checking each level, pure states in d >= 3 only")
     p_bounds.add_argument("--out", required=True)
     p_bounds.set_defaults(func=cmd_bounds)
 
@@ -616,13 +612,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except bd.SolverDiverged as exc:
-        print(f"solver diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except UqcrError as exc:
+    except UqcrError as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

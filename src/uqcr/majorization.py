@@ -64,10 +64,10 @@ class ProbVector:
             raise ValueError("entries must be non-increasing")
         if float(arr.max(initial=0.0)) > self.total + SUM_TOL:
             raise ValueError("entries must not exceed the total")
-        if abs(float(arr.sum()) - self.total) > max(1e-12, 4e-16 * arr.size * max(1.0, self.total)):
-            raise SumMismatch(
-                f"sum {arr.sum()!r} differs from total {self.total!r}"
-            )
+        tol, got = max(1e-12, 4e-16 * arr.size * max(1.0, self.total)), float(arr.sum())
+        # "not <=" fails on a NaN entry or total, which passes every check above
+        if not abs(got - self.total) <= tol:
+            raise SumMismatch(f"sum {got!r} differs from total {self.total!r}")
         sums = np.cumsum(arr)
         arr.setflags(write=False)
         sums.setflags(write=False)

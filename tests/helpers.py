@@ -4,8 +4,10 @@ Everything here is deliberately written the slow, obvious way so the
 library implementations are checked against a different code path.
 """
 
+import importlib.util
 import itertools
 import math
+import os
 
 import numpy as np
 from scipy import optimize
@@ -222,23 +224,13 @@ def fold_coherence_vector_mixed(rho, basis, samples, seed):
     return current
 
 
-def full_table_oracle(observables, constraint, count, seed):
-    """Per-level minima of the top-n sum and their states, from full tables.
-
-    Reference for the streamed sampling oracle: it draws the same states
-    from the same stream, builds every density matrix, sorts all Born
-    probabilities at once and takes each level's first smallest prefix
-    sum.  Returns the minima (one per prefix length) and their states.
-    """
-    rng = np.random.default_rng(seed)
-    dim = observables[0].dim
-    if constraint.kind == "all_states":
-        states = sample_mixed_states(dim, count, rng)
-    else:
-        states = sample_pure_states(dim, count, rng)
-    prefix = sorted_prefix_matrix(observables, states)
-    idx = prefix.argmin(axis=0)
-    return prefix[idx, np.arange(prefix.shape[1])], states[idx]
+def load_script(name):
+    """The module of ``scripts/<name>``, loaded from its file."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", name)
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _binary_entropy_bits(p: float) -> float:
@@ -309,7 +301,7 @@ def product_order_index_sets(observables, n):
     return sets
 
 
-def reference_level_operators(observables, n, chunk=bd._ORACLE_CHUNK):
+def reference_level_operators(observables, n, chunk=bd._CHUNK):
     """Level-n subset operators as the split-by-split sweep built them.
 
     Per observable and size k, its k-subsets in ``itertools.combinations``

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -31,8 +32,7 @@ from uqcr.bounds import (
     LevelOutOfRange,
     SolverConfig,
     StateConstraint,
-    _ORACLE_CHUNK,
-    _Oracle,
+    _CHUNK,
     _choice_chunks,
     _choice_tables,
     _born,
@@ -49,14 +49,15 @@ from helpers import (
     brute_level_maxima,
     brute_pure_qubit_minima,
     coarse_grained_basis,
-    full_table_oracle,
     grid_pure_qubit_minima,
     kelley_choice_dual,
+    load_script,
     prefix_majorized,
     product_order_index_sets,
     random_orthonormal_basis,
     reference_kelley_dual_bound,
     reference_level_operators,
+    sample_mixed_states,
     sample_pure_states,
     sorted_prefix_matrix,
 )
@@ -68,7 +69,7 @@ M2_TILTED = 1.0 + 0.5 * math.cos(math.pi / 4)  # 1.353553...
 MUB_HI = 0.5 + 0.5 / math.sqrt(3)          # 0.788675...
 
 XZ = [pauli_observable("x"), pauli_observable("z")]
-FAST = SolverConfig(seed=5, oracle_samples=20_000)
+FAST = SolverConfig(seed=5)
 I2 = np.eye(2, dtype=complex)
 # an identity and a zero projector (tr Pi / 2 = 1 and 0) between two axes
 TRIVIAL_PROJECTORS = [
@@ -241,7 +242,7 @@ def test_complement_symmetry_identity():
     for obs in (planar_triple_observables(math.pi / 4), standard_mub_set(2)):
         _, certs = infimum_t(obs, StateConstraint.pure_only(), FAST)
         _, certs2 = infimum_t(
-            obs, StateConstraint.pure_only(), SolverConfig(seed=91, oracle_samples=20_000)
+            obs, StateConstraint.pure_only(), SolverConfig(seed=91)
         )
         m = {c.level: c.value for c in certs}
         m2 = {c.level: c.value for c in certs2}
@@ -366,8 +367,8 @@ def test_choice_chunks_pack_splits(observables):
     tables = _choice_tables(observables, total // 2)
     for n in range(1, total // 2 + 1):
         chunks = list(_choice_chunks(tables, n))
-        assert len(chunks) == -(-math.comb(total, n) // _ORACLE_CHUNK)
-        assert all(len(ops) == _ORACLE_CHUNK for _, ops in chunks[:-1])
+        assert len(chunks) == -(-math.comb(total, n) // _CHUNK)
+        assert all(len(ops) == _CHUNK for _, ops in chunks[:-1])
         sets = []
         for rows, ops in chunks:
             for i, row in enumerate(zip(*rows)):
@@ -386,7 +387,7 @@ def test_choice_chunks_blocks_of_splits_keep_product_order(monkeypatch, chunk):
     total = sum(o.outcome_count for o in observables)
     want = {n: list(reference_level_operators(observables, n)) for n in range(1, total)}
     certs = _max_certificates(observables, range(1, total), StateConstraint.all_states())
-    monkeypatch.setattr(bounds_module, "_ORACLE_CHUNK", chunk)
+    monkeypatch.setattr(bounds_module, "_CHUNK", chunk)
     tables = _choice_tables(observables, total - 1)
     for n in range(1, total):
         chunks = list(_choice_chunks(tables, n))
@@ -413,7 +414,7 @@ def test_supremum_memory_is_one_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - before < 8 * _ORACLE_CHUNK * 16 * 16
+    assert peak - before < 8 * _CHUNK * 16 * 16
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +466,7 @@ def test_fixed_norm_mid_radius_matches_closed_form():
 def test_fixed_norm_minima_are_mapped_pure_minima(observables):
     # rho_r = r |psi><psi| + (1 - r) I/2, so each level minimum at Bloch
     # norm r is H_n + r (pure minimum - H_n), H_n the top-n sum of tr(Pi_k) / 2
-    cfg = SolverConfig(seed=5, multistarts=16, oracle_samples=20_000)
+    cfg = SolverConfig(seed=5, multistarts=16)
     half = 0.5 * np.real(np.trace(_projector_stack(observables), axis1=1, axis2=2))
     mixed = np.cumsum(np.sort(half)[::-1])[:-1]
     _, certs = infimum_t(observables, StateConstraint.pure_only(), cfg)
@@ -501,7 +502,7 @@ def test_pure_qubit_levels_reach_the_grid_minimum(observables):
     # no local minimum the solver stops in lies above the best of 200k
     # Bloch-sphere lattice points; at seed 14 a scan of 50 steps of
     # 0.3 / sqrt(k + 1) alone picks a start 1.3e-3 above that
-    cfg = SolverConfig(seed=5, multistarts=16, oracle_samples=20_000)
+    cfg = SolverConfig(seed=5, multistarts=16)
     _, certs = infimum_t(observables, StateConstraint.pure_only(), cfg)
     grid = grid_pure_qubit_minima(observables)
     assert np.all(np.array([c.value for c in certs]) <= grid + 1e-12)
@@ -518,7 +519,7 @@ def test_pure_qubit_closed_forms_across_starts_and_seeds(observables, closed, r)
     expected = closed(1.0 if r is None else r).entries
     for multistarts in (1, 4, 16):
         for seed in range(5):
-            cfg = SolverConfig(seed=seed, multistarts=multistarts, oracle_samples=20_000)
+            cfg = SolverConfig(seed=seed, multistarts=multistarts)
             t, certs = infimum_t(observables, constraint, cfg)
             assert np.max(np.abs(t.entries - expected)) <= 1e-9
         t2, certs2 = infimum_t(observables, constraint, cfg)
@@ -573,20 +574,19 @@ def test_pure_qubit_levels_match_brute_force(observables):
 
 
 def test_pure_qubit_levels_need_no_oracle(monkeypatch):
-    # pure and fixed-norm qubit levels are exact, so no states are sampled
-    # and no setting of the search or the oracle changes the result
+    # pure and fixed-norm qubit levels are exact: no ket is scanned, and no
+    # seed or number of starts changes the result
     from uqcr import bounds
 
-    def no_oracle(*args, **kwargs):
-        raise AssertionError("qubit levels must not build the sampling oracle")
+    def no_scan(*args, **kwargs):
+        raise AssertionError("qubit levels must not run the ket scan")
 
-    monkeypatch.setattr(bounds, "_Oracle", no_oracle)
+    monkeypatch.setattr(bounds, "_ket_scan", no_scan)
     obs = planar_triple_observables(0.4)
     for constraint in (StateConstraint.pure_only(), StateConstraint.fixed_bloch_norm(0.6)):
         (t1, certs1), *others = [
-            infimum_t(obs, constraint, SolverConfig(seed=seed, multistarts=starts,
-                                                    oracle_samples=samples))
-            for seed in (0, 5) for starts in (1, 64) for samples in (1, 100_000)
+            infimum_t(obs, constraint, SolverConfig(seed=seed, multistarts=starts))
+            for seed in (0, 5) for starts in (1, 64)
         ]
         for t2, certs2 in others:
             assert np.array_equal(t1.entries, t2.entries)
@@ -617,7 +617,7 @@ def test_degenerate_projectors_need_real_solve():
     # coarse outcome (rank-2) plus a fine basis: the uniform-mixture dual
     # floor (0.4) sits below the true level-1 minimum (0.5)
     obs = coarse_and_fine_qutrit()
-    cfg = SolverConfig(seed=1, oracle_samples=20_000)
+    cfg = SolverConfig(seed=1)
     cert = min_topn_over_states(obs, 1, StateConstraint.all_states(), cfg)
     assert cert.value == pytest.approx(0.5, abs=1e-6)
     assert cert.diagnostics.dual_gap is not None and cert.diagnostics.dual_gap <= 1e-6
@@ -673,18 +673,18 @@ def test_kelley_matches_linprog_reference(dim, ranks, seed):
 
 
 def test_all_states_levels_need_no_oracle(monkeypatch):
-    # minimax duality certifies every all-states level, so no states are
-    # sampled and the seed and sample count cannot change the result
+    # minimax duality certifies every all-states level, so no ket is
+    # scanned and neither the seed nor the number of starts changes the result
     from uqcr import bounds
 
-    def no_oracle(*args, **kwargs):
-        raise AssertionError("all-states levels must not build the sampling oracle")
+    def no_scan(*args, **kwargs):
+        raise AssertionError("all-states levels must not run the ket scan")
 
-    monkeypatch.setattr(bounds, "_Oracle", no_oracle)
+    monkeypatch.setattr(bounds, "_ket_scan", no_scan)
     obs = coarse_and_fine_qutrit()
     runs = [
         infimum_t(obs, StateConstraint.all_states(), cfg)
-        for cfg in (SolverConfig(seed=0, oracle_samples=1), SolverConfig(seed=7))
+        for cfg in (SolverConfig(seed=0, multistarts=1), SolverConfig(seed=7))
     ]
     (t1, certs1), (t2, certs2) = runs
     assert np.array_equal(t1.entries, t2.entries)
@@ -700,11 +700,9 @@ def test_all_states_levels_need_no_oracle(monkeypatch):
 def test_qutrit_mub_set_envelopes(rng):
     # four observables in dimension 3 (largest shipped configuration)
     obs = standard_mub_set(3)
-    t, _ = infimum_t(obs, StateConstraint.all_states(), SolverConfig(seed=3, oracle_samples=5_000))
+    t, _ = infimum_t(obs, StateConstraint.all_states(), SolverConfig(seed=3))
     s, _ = supremum_s(obs)
     assert np.allclose(t.entries, 1 / 3, atol=1e-6)
-    from helpers import sample_mixed_states
-
     states = sample_mixed_states(3, 2_000, rng)
     prefix = sorted_prefix_matrix(obs, states)
     assert np.all(prefix >= np.cumsum(t.entries)[None, :] - 1e-8)
@@ -714,7 +712,7 @@ def test_qutrit_mub_set_envelopes(rng):
 def test_dim3_pure_pair_uniform(rng):
     # a vector unbiased to both bases exists, so every level minimum is n/3
     pair = standard_mub_set(3)[:2]
-    cfg = SolverConfig(seed=3, multistarts=24, oracle_samples=10_000)
+    cfg = SolverConfig(seed=3, multistarts=24)
     t, certs = infimum_t(pair, StateConstraint.pure_only(), cfg)
     assert np.allclose(t.entries, 1 / 3, atol=1e-6)
     states = sample_pure_states(3, 2_000, rng)
@@ -769,6 +767,47 @@ def test_qutrit_mub_pure_minima_are_pinned(seed):
         assert c1.diagnostics == c2.diagnostics
 
 
+# seed-0 pure level minima of three Haar-basis configs (drawn as
+# random_orthonormal_basis draws them) from the scan that a 100k-sample
+# oracle seeded, before the settling stage replaced that seed
+HAAR_PURE_MINIMA = {
+    (4, 4): [0.28833462191082887, 0.5766692438216577, 0.8650038657324866, 1.1533384876433153,
+             1.409690511450992, 1.6607480235945027, 1.9113557271015311, 2.142627124907297,
+             2.3575530078506897, 2.571702005233793, 2.785851002616896],
+    (5, 4): [0.27621819499674116, 0.5524363899934822, 0.8286545849902232, 1.1009414819813428,
+             1.3677922954426622, 1.6300305411710743, 1.8673118182992021, 2.093849454639362,
+             2.3203870909795214, 2.5469247273196807, 2.77346236365984],
+    (6, 5): [0.2112795262349402, 0.42255905246988035, 0.6338385787048204, 0.8451181049397605,
+             1.0558818382573474, 1.257521874335059, 1.4575285418434674, 1.65625982370388,
+             1.8492819479244034, 2.0410684791311264, 2.232854783304901, 2.4246410874786757,
+             2.6164273916524503, 2.808213695826225],
+}
+
+
+def haar_triple(seed, dim):
+    rng = np.random.default_rng(seed)
+    return [random_orthonormal_basis(dim, rng, f"b{i}") for i in range(3)]
+
+
+@pytest.mark.parametrize("seed, dim", sorted(HAAR_PURE_MINIMA))
+def test_settled_pure_minima_never_rise(seed, dim):
+    _, certs = infimum_t(haar_triple(seed, dim), StateConstraint.pure_only(), SolverConfig(seed=0))
+    values = np.array([c.value for c in certs])
+    assert np.all(values <= np.array(HAAR_PURE_MINIMA[seed, dim]) + 1e-12)
+    # the winner is a start or a settling copy, numbered after the starts
+    assert all(0 <= c.diagnostics.multistart_index < 64 + 4 for c in certs)
+
+
+@pytest.mark.parametrize("observables", [standard_mub_set(3), haar_triple(4, 4)],
+                         ids=["qutrit_mubs", "haar_d4_rng4"])
+def test_pure_t_holds_on_fresh_haar_kets(observables):
+    # an independent check: kets from a generator the solver never sees
+    t, _ = infimum_t(observables, StateConstraint.pure_only())
+    states = sample_pure_states(observables[0].dim, 20_000, np.random.default_rng(2718))
+    prefix = sorted_prefix_matrix(observables, states)
+    assert np.all(prefix >= np.cumsum(t.entries)[None, :] - 1e-8)
+
+
 def test_state_constraint_validation():
     with pytest.raises(ValueError):
         StateConstraint("everything")
@@ -784,53 +823,50 @@ def test_solver_config_defaults():
     assert cfg.max_iter == 80
     assert cfg.multistarts == 64
     assert cfg.tol == 1e-7
-    assert cfg.oracle_samples == 100_000
+    assert cfg.seed == 0
+    assert [f.name for f in dataclasses.fields(cfg)] == ["max_iter", "multistarts", "tol", "seed"]
 
 
 # ---------------------------------------------------------------------------
-# sampling oracle
+# the sandwich script's sampler
 
 @pytest.mark.parametrize("observables, constraint", [
     (standard_mub_set(3), StateConstraint.all_states()),
     (standard_mub_set(3), StateConstraint.pure_only()),
 ])
-@pytest.mark.parametrize("count", [1, _ORACLE_CHUNK - 1, _ORACLE_CHUNK + 1, 2 * _ORACLE_CHUNK + 123])
+@pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 123])
 def test_streamed_oracle_matches_full_tables(observables, constraint, count):
-    proj = _projector_stack(observables)
+    # scripts/sandwich_sampling.py streams Hilbert-Schmidt states or Haar
+    # kets in chunks; each chunk's prefix sums match the full table of the
+    # same draws from the test helpers
+    script = load_script("sandwich_sampling.py")
+    assert script.CHUNK == _CHUNK
     dim = observables[0].dim
-    purified = constraint.kind == "all_states"
-    if purified:
-        # as scripts/sandwich_sampling.py samples all states: the partial
-        # trace of a Haar ket on C^d (x) C^d, drawn from the same normals
-        # as the reference's Ginibre factors
-        oracle = _Oracle(np.kron(proj, np.eye(dim)), dim * dim, count, np.random.default_rng(9))
-    else:
-        oracle = _Oracle(proj, dim, count, np.random.default_rng(9))
-    minima, states = full_table_oracle(observables, constraint, count, 9)
-    assert oracle.states.shape[0] == count
-    for n in range(1, len(proj)):  # the solver's levels
-        value, state = oracle.min_at(n)
-        assert value == pytest.approx(minima[n - 1], abs=1e-14)
-        if purified:
-            reduced = np.trace(state.reshape(dim, dim, dim, dim), axis1=1, axis2=3)
-            assert np.max(np.abs(reduced - states[n - 1])) <= 1e-14
-        else:
-            assert np.array_equal(state, states[n - 1])
+    chunks = list(script.prefix_chunks(_projector_stack(observables), constraint.kind, count,
+                                       np.random.default_rng(9)))
+    assert [len(c) for c in chunks] == [min(_CHUNK, count - lo) for lo in range(0, count, _CHUNK)]
+    rng = np.random.default_rng(9)
+    sample = sample_mixed_states if constraint.kind == "all_states" else sample_pure_states
+    for prefix in chunks:
+        expected = sorted_prefix_matrix(observables, sample(dim, len(prefix), rng))
+        assert np.max(np.abs(prefix - expected)) <= 1e-14
 
 
 def test_oracle_memory_is_the_draws():
-    # the oracle keeps its raw draws and per-level minima, no density or
-    # prefix tables; a 100k-sample oracle of purified d=6 states (kets in
-    # d=36) peaks at about 2x the draws
+    # the script's sampler holds one chunk of draws at a time: 100k
+    # Hilbert-Schmidt states in d=6 peak at a few chunks' worth, not at the
+    # 100k states' 58 MB
+    script = load_script("sandwich_sampling.py")
     rng = np.random.default_rng(4)
     proj = _projector_stack([random_orthonormal_basis(6, rng) for _ in range(3)])
+    chunk_bytes = 16 * 36 * _CHUNK
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        oracle = _Oracle(np.kron(proj, np.eye(6)), 36, 100_000, np.random.default_rng(0))
-        current, peak = tracemalloc.get_traced_memory()
+        count = sum(len(p) for p in script.prefix_chunks(proj, "all_states", 100_000,
+                                                         np.random.default_rng(0)))
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    nbytes = oracle.states.nbytes
-    assert peak - before <= 2.5 * nbytes
-    assert current - before <= nbytes + 2**20
+    assert count == 100_000
+    assert peak - before <= 6 * chunk_bytes

@@ -39,7 +39,7 @@ from helpers import (
 )
 
 XZ = [pauli_observable("x"), pauli_observable("z")]
-FAST = SolverConfig(seed=9, oracle_samples=20_000)
+FAST = SolverConfig(seed=9)
 
 
 @pytest.fixture(scope="module")

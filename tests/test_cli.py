@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from uqcr import cli, infimum_t, min_topn_over_states
+from uqcr import cli, infimum_t, min_topn_over_states, standard_mub_set
 from uqcr.bounds import SolverConfig, StateConstraint
 from uqcr.cli import _dump_json, main
 
@@ -358,10 +357,9 @@ def test_mismatched_observables_name_field(tmp_path, xz_bounds_file, capsys, com
         ("--multistarts", "0", "multistarts"),
         ("--max-iter", "-1", "max_iter"),
         ("--tol", "-1", "tol"),
-        # inf would pass "> 0" and switch off the oracle check (residual > inf)
+        # inf and nan would pass a bare "> 0" or fail it without a message
         ("--tol", "inf", "tol"),
         ("--tol", "nan", "tol"),
-        ("--oracle-samples", "-5", "oracle_samples"),
         ("--seed", "-1", "seed"),
     ],
 )
@@ -410,6 +408,42 @@ def test_malformed_bounds_file_names_field(tmp_path, xz_bounds_file, capsys, fie
         err = capsys.readouterr().err
         assert f"error: {bad}.{field}: " in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["t", "s"])
+def test_nan_envelope_is_input_error(tmp_path, xz_bounds_file, capsys, field):
+    # json reads the NaN literal, and NaN passes every comparison
+    doc = json.loads(xz_bounds_file.read_text())
+    doc[field][0] = math.nan
+    bad = tmp_path / "nan_bounds.json"
+    bad.write_text(json.dumps(doc))
+    assert "NaN" in bad.read_text()
+    state = config("states/maximally_mixed_d2.json")
+    csv = tmp_path / "l.csv"
+    for argv in (
+        ["verify", "--state", state, "--bounds", str(bad)],
+        ["lorenz", "--bounds", str(bad), "--csv", str(csv)],
+        ["entropy", "--state", state, "--bounds", str(bad)],
+    ):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert f"error: {bad}: t/s: " in captured.err
+        assert captured.out == ""
+        assert not csv.exists()
+
+
+def test_bounds_file_with_oracle_samples_still_verifies(tmp_path, xz_bounds_file, capsys):
+    # files written while the solver had a sampling oracle carry
+    # solver_config.oracle_samples; readers ignore solver_config
+    state = config("states/maximally_mixed_d2.json")
+    assert run(["verify", "--state", state, "--bounds", str(xz_bounds_file)]) == 0
+    expected = capsys.readouterr()
+    doc = json.loads(xz_bounds_file.read_text())
+    doc["solver_config"]["oracle_samples"] = 100_000
+    old = tmp_path / "old_bounds.json"
+    old.write_text(json.dumps(doc, indent=2))
+    assert run(["verify", "--state", state, "--bounds", str(old)]) == 0
+    assert capsys.readouterr() == expected
 
 
 def test_choice_budget_rejects_before_solving(tmp_path, capsys, monkeypatch):
@@ -466,7 +500,7 @@ def test_choice_tables_budget_rejects_before_solving(tmp_path, capsys, monkeypat
 
 
 def test_fixed_bloch_norm_off_qubit_names_constraint(tmp_path, capsys, monkeypatch):
-    from uqcr import bounds, standard_mub_set
+    from uqcr import bounds
 
     def no_solve(*args, **kwargs):
         raise AssertionError("the constraint must be checked before any solve")
@@ -479,40 +513,6 @@ def test_fixed_bloch_norm_off_qubit_names_constraint(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert "error: --constraint: " in err
     assert "Traceback" not in err
-    assert not out.exists()
-
-
-def test_solver_diverged_names_level_excess_and_settings(tmp_path, capsys, monkeypatch):
-    # a scan that ends far above the sampling oracle's minimum; only pure
-    # states in d >= 3 are scanned and checked by the oracle
-    from uqcr import bounds, standard_mub_set
-
-    scan = bounds._ket_scan
-
-    def stuck(oracle, kets, levels):
-        minima, best, row, evaluations = scan(oracle, kets, levels)
-        return np.full_like(minima, 2.5), best, row, evaluations
-
-    monkeypatch.setattr(bounds, "_ket_scan", stuck)
-    obs = _write_bases(tmp_path / "obs.json", 3, [o.basis_vectors() for o in standard_mub_set(3)])
-    out = tmp_path / "o.json"
-    code = run(
-        [
-            "bounds",
-            "--observables", obs,
-            "--constraint", "pure",
-            "--oracle-samples", "2000",
-            "--out", str(out),
-        ]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    m = re.search(r"level 1: solver value (\S+) exceeds oracle minimum (\S+) by (\S+),", err)
-    assert m is not None, err
-    value, oracle_min, excess = (float(g) for g in m.groups())
-    assert value == 2.5
-    assert excess == value - oracle_min
-    assert "--multistarts" in err and "--tol" in err
     assert not out.exists()
 
 
@@ -557,9 +557,22 @@ def test_determinism_byte_identical(tmp_path):
 
 
 def test_determinism_byte_identical_fixed_norm(tmp_path):
-    # fixed-norm solves draw from the pure-state oracle and map to radius r
+    # fixed-norm solves are the exact pure qubit solve mapped to radius r
     _assert_same_seed_bytes(tmp_path, "mub3_qubit.json", "--constraint", "bloch=0.5",
-                            "--multistarts", "16", "--oracle-samples", "20000")
+                            "--multistarts", "16")
+
+
+def test_determinism_byte_identical_pure_qutrit_mubs(tmp_path):
+    # the scan and its settling stage draw every start from the seed
+    obs = _write_bases(tmp_path / "obs.json", 3, [o.basis_vectors() for o in standard_mub_set(3)])
+    outs = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        assert run(["bounds", "--observables", obs, "--constraint", "pure", "--seed", "3",
+                    "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert "oracle_samples" not in json.loads(outs[0])["solver_config"]
 
 
 def test_coarse_levels_are_isolated_and_deterministic(tmp_path):

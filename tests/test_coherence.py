@@ -27,7 +27,7 @@ from helpers import fold_coherence_vector_mixed, prefix_majorized, random_orthon
 
 Z = pauli_observable("z")
 XZ = [pauli_observable("x"), pauli_observable("z")]
-FAST = SolverConfig(seed=13, oracle_samples=20_000)
+FAST = SolverConfig(seed=13)
 
 
 def test_pure_read_offs():

@@ -66,6 +66,17 @@ def test_probvector_invariants():
         ProbVector(np.array([0.6, 0.3]), 1.0)
 
 
+@pytest.mark.parametrize("entries, total", [
+    ([math.nan, 1.0], 2.0),
+    ([1.0, math.nan], 2.0),
+    ([0.5, 0.5], math.nan),
+], ids=["first", "last", "total"])
+def test_probvector_rejects_nan(entries, total):
+    # NaN passes every comparison, so the sum check is written to fail on it
+    with pytest.raises(SumMismatch, match="nan"):
+        ProbVector(np.array(entries), total)
+
+
 def test_padding_preserves_total():
     p = pv(0.7, 0.3).padded(4)
     assert len(p) == 4 and p.total == 1.0

@@ -1,11 +1,12 @@
 import hashlib
-import importlib.util
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+
+from helpers import load_script
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
@@ -41,6 +42,15 @@ def test_sandwich_sampling_qutrit_mubs_pure():
     assert "upper violations: 0" in proc.stdout
 
 
+def test_sandwich_sampling_haar4_pure():
+    # three Haar d=4 bases (default_rng(4)), pure: the scan's t holds
+    # against states it never saw
+    proc = run_script("sandwich_sampling.py", "--config", "haar4_pure", "--samples", "2000")
+    assert proc.returncode == 0, proc.stderr
+    assert "lower violations: 0" in proc.stdout
+    assert "upper violations: 0" in proc.stdout
+
+
 def test_reproduce_qubit_envelopes_matches_closed_forms(tmp_path):
     proc = run_script("reproduce_qubit_envelopes.py", "--outdir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
@@ -52,10 +62,7 @@ def test_reproduce_qubit_envelopes_matches_closed_forms(tmp_path):
 
 
 def test_reference_digests_two_jobs(tmp_path):
-    spec = importlib.util.spec_from_file_location(
-        "reference_digests", os.path.join(ROOT, "scripts", "reference_digests.py"))
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("reference_digests.py")
     wl = script.load_workloads()
     jobs = [wl.pauli_xz(), wl.mub3_all()]
     out = io.StringIO()
