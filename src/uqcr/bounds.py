@@ -10,15 +10,15 @@ all states, minimax duality turns each minimum into the largest
 {0 <= w_k <= 1, sum_k w_k = n}, a certified value from L weights; the
 multipliers of its last cutting-plane LP mix the cut eigenvectors into
 the primal state.  The level-n maximum is the largest eigenvalue over
-the C(L, n) subset operators C_S (sums of n projectors split across the
-observables; at most ``CHOICE_OPERATOR_LIMIT`` per level).  The
+the C(L, n) subset operators C_S, S an n-subset of the L stacked
+projectors (at most ``CHOICE_OPERATOR_LIMIT`` per level).  The
 complement of S is a level-(L - n) choice with operator M I - C_S, so
 one ``eigvalsh`` sweep over each level n <= L/2, streamed in chunks,
 gives the maxima of levels n and L - n; flattening the maxima with the
-least concave majorant assembles the least upper bound ``s``.  Each
-chunk is gathered, not built split by split: per observable, a table
-of its summed k-subset projectors (``_choice_tables``), and per chunk
-one gather-and-add of table rows per observable (``_choice_chunks``).
+least concave majorant assembles the least upper bound ``s``.  The
+subsets come as ascending flat indices in ``itertools.combinations``
+order (``_subset_chunks``), and each chunk's operators take one
+gather-and-add per position (``_subset_sums``).
 
 Pure qubit minima are exact, the least value over the candidates an arc
 walk over the tie circles lists (``_pure_qubit_levels``); there
@@ -47,7 +47,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -71,19 +70,18 @@ class LevelOutOfRange(UqcrError):
 
 
 class EnumerationTooLarge(UqcrError):
-    """One level has more than ``CHOICE_OPERATOR_LIMIT`` subset operators, or
-    the sweep's tables would take more than ``CHOICE_TABLE_BYTES``."""
+    """One level has more than ``CHOICE_OPERATOR_LIMIT`` subset operators."""
 
 
 # subset operators one level may have; the sweep streams them in chunks,
 # so this bounds time, not memory
 CHOICE_OPERATOR_LIMIT = 1 << 24
-# bytes the sweep's per-observable tables of summed projectors may take
-CHOICE_TABLE_BYTES = 1 << 30
 
 # scan kets, subset operators or qubit arcs per chunk: one GEMM or batched
 # eigvalsh amortises its call overhead while the chunk stays a few MB
 _CHUNK = 4096
+# an all-states level stops once its dual is within this of the primal value
+_GAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,6 @@ class SolverConfig:
 
     max_iter: int = 80  # cutting-plane LPs per level over all states
     multistarts: int = 64  # scan starts per level, pure states in d >= 3 only
-    tol: float = 1e-7
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -100,7 +97,6 @@ class SolverConfig:
         for name, ok, rule in (
             ("max_iter", self.max_iter >= 0, ">= 0"),
             ("multistarts", self.multistarts >= 1, ">= 1"),
-            ("tol", 0.0 < self.tol < math.inf, "finite and > 0"),
             ("seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:
@@ -233,78 +229,38 @@ def _top_n_sum(probs: np.ndarray, n: int) -> np.ndarray:
 
 def check_choice_budget(observables, levels=None) -> None:
     """Raise ``EnumerationTooLarge`` if a level (default: any) has more than
-    ``CHOICE_OPERATOR_LIMIT`` subset operators, or if the sweep's tables
-    (a d x d complex sum per k-subset of each observable, k <= L/2) take
-    more than ``CHOICE_TABLE_BYTES``.  Level n has C(L, n) operators, so
-    this needs no enumeration and can run before any solve."""
-    observables = list(observables)
-    dim, total = _check_observables(observables)
+    ``CHOICE_OPERATOR_LIMIT`` subset operators.  Level n has C(L, n)
+    operators, so this needs no enumeration and can run before any solve."""
+    total = _check_observables(observables)[1]
     level = max(levels or range(1, total), key=lambda n: math.comb(total, n), default=None)
     if level is not None and math.comb(total, level) > CHOICE_OPERATOR_LIMIT:
         raise EnumerationTooLarge(
             f"L={total} outcomes: level {level} has {math.comb(total, level)} subset "
             f"operators, over the limit of {CHOICE_OPERATOR_LIMIT} per level")
-    entries = sum(math.comb(obs.outcome_count, k) for obs in observables
-                  for k in range(min(obs.outcome_count, total // 2) + 1))
-    if 16 * dim * dim * entries > CHOICE_TABLE_BYTES:
-        raise EnumerationTooLarge(
-            f"L={total} outcomes: the subset tables have {entries} entries of {dim}x{dim}, "
-            f"{16 * dim * dim * entries} bytes, over the limit of {CHOICE_TABLE_BYTES}")
 
 
-class _ChoiceTable(NamedTuple):
-    """One observable's k-subsets for k <= top, by size, each size in
-    ``itertools.combinations`` order: the subsets as tuples, their summed
-    projectors, shape (rows, d, d), and the first row of each size
-    (``starts[k]``; ``starts[-1]`` counts the rows).  The empty set sums to
-    -0.0 - 0.0j, which leaves any x it is added to exactly x."""
-
-    sets: list
-    sums: np.ndarray
-    starts: np.ndarray
+def _subset_chunks(total: int, n: int):
+    """The n-subsets of range(total) in ``itertools.combinations`` order, as
+    (rows, n) arrays of ascending indices, at most ``_CHUNK`` rows each."""
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(total), n))
+    while (rows := np.fromiter(itertools.islice(subsets, _CHUNK * n), dtype=np.intp)).size:
+        yield rows.reshape(-1, n)
 
 
-def _choice_tables(observables, top: int) -> list[_ChoiceTable]:
-    """Each observable's table of its subsets of size k <= top."""
-    tables = []
-    for obs in observables:
-        c, proj = obs.outcome_count, np.stack(obs.projectors)
-        by_size = [list(itertools.combinations(range(c), k)) for k in range(min(c, top) + 1)]
-        sums = [np.full((1, *proj.shape[1:]), complex(-0.0, -0.0))]
-        sums += [proj[np.array(sets)].sum(axis=1) for sets in by_size[1:]]
-        tables.append(_ChoiceTable(list(itertools.chain.from_iterable(by_size)),
-                                   np.concatenate(sums), np.cumsum([0] + list(map(len, by_size)))))
-    return tables
+def _subset_sums(proj: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each row's subset operator, one gather-and-add per position: the
+    sum in the row's order, as ``proj[row].sum(axis=0)`` adds it."""
+    ops = proj[rows[:, 0]]
+    for j in range(1, rows.shape[1]):
+        ops += proj[rows[:, j]]
+    return ops
 
 
-def _choice_chunks(tables, n: int):
-    """Level-n subset operators in chunks of at most ``_CHUNK``:
-    splits (a size per observable, summing to n) in ``itertools.product``
-    order, each split's subsets in ``itertools.product`` order.  Splits
-    are taken ``_CHUNK`` at a time, and consecutive splits of one
-    such block share a chunk.  Yields (rows, operators), rows[a] the table
-    rows of observable a; each operator is +0.0 plus its rows' sums, one
-    gather-and-add per observable, so a -0.0 entry of a sum reads +0.0."""
-    product = itertools.product(*(range(len(t.starts) - 1) for t in tables))
-    splits = (split for split in product if sum(split) == n)
-    while block := list(itertools.islice(splits, _CHUNK)):
-        ks = np.array(block).T  # (observables, splits)
-        first = np.stack([t.starts[k] for t, k in zip(tables, ks)])
-        sizes = np.stack([t.starts[k + 1] for t, k in zip(tables, ks)]) - first
-        counts = sizes.prod(axis=0)
-        ends = np.cumsum(counts)
-        for lo in range(0, int(ends[-1]), _CHUNK):
-            pos = np.arange(lo, min(lo + _CHUNK, int(ends[-1])))
-            split = np.searchsorted(ends, pos, side="right")
-            local = pos - (ends - counts)[split]
-            rows = [None] * len(tables)
-            for a in reversed(range(len(tables))):  # the last observable varies fastest
-                local, coord = np.divmod(local, sizes[a, split])
-                rows[a] = first[a, split] + coord
-            ops = np.zeros((len(pos), *tables[0].sums.shape[1:]), dtype=complex)
-            for t, r in zip(tables, rows):
-                ops += t.sums[r]
-            yield rows, ops
+def _index_sets(observables, flat) -> tuple:
+    """Ascending flat indices into ``_projector_stack``, split into each
+    observable's own outcome indices."""
+    edges = list(itertools.accumulate((obs.outcome_count for obs in observables), initial=0))
+    return tuple([k - lo for k in flat if lo <= k < hi] for lo, hi in zip(edges, edges[1:]))
 
 
 def enumerate_choices(observables, n: int) -> list[ChoiceOperator]:
@@ -312,18 +268,16 @@ def enumerate_choices(observables, n: int) -> list[ChoiceOperator]:
     observables = list(observables)
     _check_level(n, _check_observables(observables)[1])
     check_choice_budget(observables, [n])
-    tables = _choice_tables(observables, n)
-    return [ChoiceOperator(tuple(t.sets[r] for t, r in zip(tables, row)), op, n)
-            for rows, ops in _choice_chunks(tables, n)
-            for row, op in zip(zip(*(r.tolist() for r in rows)), ops)]
+    proj = _projector_stack(observables)
+    return [ChoiceOperator(_index_sets(observables, row), op, n)
+            for rows in _subset_chunks(len(proj), n)
+            for row, op in zip(rows.tolist(), _subset_sums(proj, rows))]
 
 
 def _choice_at(observables, proj: np.ndarray, state: np.ndarray, n: int) -> ChoiceOperator:
     """The subset operator of the n largest Born probabilities of a state."""
     top = np.sort(np.argpartition(_born(state[None], proj)[0], -n)[-n:])
-    edges = list(itertools.accumulate((obs.outcome_count for obs in observables), initial=0))
-    sets = [[k - lo for k in top.tolist() if lo <= k < hi] for lo, hi in zip(edges, edges[1:])]
-    return ChoiceOperator(tuple(sets), proj[top].sum(axis=0), n)
+    return ChoiceOperator(_index_sets(observables, top.tolist()), proj[top].sum(axis=0), n)
 
 
 def top_n_sum(p: mj.ProbVector, n: int) -> float:
@@ -448,10 +402,9 @@ def _min_level_all_states(proj: np.ndarray, n: int, cfg: SolverConfig):
     value, certified lower bound, state and diagnostics.
     """
     dim = proj.shape[-1]
-    gap_tol = max(1e-12, min(cfg.tol, 1e-9))
     states = [np.eye(dim, dtype=complex) / dim]
     values = list(_top_n_sum(_born(states[0][None], proj), n))
-    f_lb, lp_state, lps = _kelley_dual_bound(proj, n, values[0] - gap_tol, cfg.max_iter)
+    f_lb, lp_state, lps = _kelley_dual_bound(proj, n, values[0] - _GAP_TOL, cfg.max_iter)
     if lp_state is not None:
         states.append(lp_state)
         values.append(_top_n_sum(_born(lp_state[None], proj), n)[0])
@@ -699,13 +652,13 @@ def _max_certificates(observables, levels, constraint: StateConstraint) -> list[
     winners are rebuilt, as sums of their projectors, for the certificate.
     """
     check_choice_budget(observables, levels)
-    counts = [obs.outcome_count for obs in observables]
-    total, offsets = sum(counts), list(itertools.accumulate(counts, initial=0))
-    proj, tables = _projector_stack(observables), _choice_tables(observables, total // 2)
+    proj = _projector_stack(observables)
+    total = len(proj)
     certs = {}
     for n in sorted({min(n, total - n) for n in levels}):
         top, bottom = (-np.inf, None), (np.inf, None)
-        for rows, ops in _choice_chunks(tables, n):
+        for rows in _subset_chunks(total, n):
+            ops = _subset_sums(proj, rows)
             w = np.linalg.eigvalsh(ops)
             hi, lo = w[:, -1], w[:, 0]
             if constraint.r is not None:
@@ -713,22 +666,22 @@ def _max_certificates(observables, levels, constraint: StateConstraint) -> list[
                 hi, lo = _at_radius(hi, half, constraint), _at_radius(lo, half, constraint)
             i, j = int(hi.argmax()), int(lo.argmin())
             if hi[i] > top[0]:
-                top = (hi[i], [t.sets[r[i]] for t, r in zip(tables, rows)])
+                top = (hi[i], rows[i])
             if lo[j] < bottom[0]:
-                bottom = (lo[j], [t.sets[r[j]] for t, r in zip(tables, rows)])
+                bottom = (lo[j], rows[j])
         # at n = L/2 both ends are one level, and its own maximum wins
-        ends = [(n, top, False)] + ([(total - n, bottom, True)] if 2 * n < total else [])
-        for level, (_, sets), complement in ends:
-            if complement:
-                sets = [[i for i in range(c) if i not in s] for c, s in zip(counts, sets)]
-            cmat = proj[[o + i for o, s in zip(offsets, sets) for i in s]].sum(axis=0)
+        ends = [(n, top[1])]
+        if 2 * n < total:
+            ends.append((total - n, np.setdiff1d(np.arange(total), bottom[1])))
+        for level, flat in ends:
+            cmat = proj[flat].sum(axis=0)
             w, v = np.linalg.eigh(cmat)
             value = _at_radius(w[-1], 0.5 * np.real(np.trace(cmat)), constraint)
             state = DensityMatrix(_at_radius(np.outer(v[:, -1], v[:, -1].conj()),
                                              0.5 * np.eye(2), constraint))
             diag = SolverDiagnostics(iterations=0, multistart_index=0, residual=0.0)
-            certs[level] = BoundCertificate(level, "max", float(value), state,
-                                            ChoiceOperator(tuple(sets), cmat, level), diag)
+            choice = ChoiceOperator(_index_sets(observables, flat.tolist()), cmat, level)
+            certs[level] = BoundCertificate(level, "max", float(value), state, choice, diag)
     return [certs[n] for n in levels]
 
 

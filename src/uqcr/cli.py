@@ -249,10 +249,13 @@ def parse_state_file(doc: dict, dim: int, origin: str = "state") -> DensityMatri
         raise InputError(f"{origin}: exactly one of density/ket/bloch required")
     kind = keys[0]
     try:
-        if kind == "density":
-            return DensityMatrix(_json_to_matrix(doc["density"], f"{origin}.density"))
-        if kind == "ket":
-            return DensityMatrix.from_ket(_json_to_vector(doc["ket"], f"{origin}.ket"))
+        if kind != "bloch":
+            field = f"{origin}.{kind}"
+            rho = (DensityMatrix(_json_to_matrix(doc[kind], field)) if kind == "density"
+                   else DensityMatrix.from_ket(_json_to_vector(doc[kind], field)))
+            if rho.dim != dim:
+                raise InputError(f"{field}: dimension {rho.dim} != the observables' {dim}")
+            return rho
         if dim != 2:
             raise InputError(f"{origin}.bloch: only valid in dimension 2")
         vec = _real_vector(doc["bloch"], f"{origin}.bloch", 3)
@@ -346,6 +349,14 @@ def _bounds_from_file(path: str):
     if not np.isfinite(total):
         raise InputError(f"{path}.total: must be finite")
     _, observables = parse_observable_file(doc, path)
+    if total != len(observables):
+        raise InputError(f"{path}.total: expected {len(observables)}, the observable count, "
+                         f"got {total!r}")
+    count = sum(obs.outcome_count for obs in observables)
+    for key in ("t", "s"):
+        if not isinstance(doc[key], list) or len(doc[key]) != count:
+            raise InputError(f"{path}.{key}: expected a list of {count} entries, "
+                             "one per outcome of the observables")
     try:
         t = mj.ProbVector(np.array(doc["t"], dtype=float), total)
         s = mj.ProbVector(np.array(doc["s"], dtype=float), total)
@@ -409,7 +420,6 @@ def cmd_bounds(args) -> int:
         cfg = bd.SolverConfig(
             max_iter=args.max_iter,
             multistarts=args.multistarts,
-            tol=args.tol,
             seed=args.seed if args.seed is not None else _default_seed(),
         )
     except ValueError as exc:
@@ -518,9 +528,9 @@ def cmd_coherence(args) -> int:
         raise InputError(f"--{str(exc).split()[0]}: {exc}") from None
     # a mixed state's Haar block takes up to 16 (samples + 1) d^2 bytes
     block_bytes = 16 * (args.samples + 1) * dim * dim
-    if block_bytes > bd.CHOICE_TABLE_BYTES:
+    if block_bytes > coh.HAAR_BLOCK_BYTES:
         raise InputError(f"--samples: {args.samples} samples in d={dim} need {block_bytes} "
-                         f"bytes of mixing unitaries, over the limit of {bd.CHOICE_TABLE_BYTES}")
+                         f"bytes of mixing unitaries, over the limit of {coh.HAAR_BLOCK_BYTES}")
     mu_t, mu_s = coh.coherence_complementarity_bounds(bases, cfg)
     doc = {
         "unit": args.unit,
@@ -572,7 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="subgradient-scan starts per level, pure states in d >= 3 only")
     p_bounds.add_argument("--max-iter", type=int, default=80,
                           help="cutting-plane LPs per level over all states")
-    p_bounds.add_argument("--tol", type=float, default=1e-7)
     p_bounds.add_argument("--out", required=True)
     p_bounds.set_defaults(func=cmd_bounds)
 

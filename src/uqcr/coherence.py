@@ -55,6 +55,8 @@ def coherence_vector_pure(psi, basis: ProjectiveObservable) -> CoherenceVector:
     return CoherenceVector(basis.name, mj.from_unsorted(probs, 1.0), "exact")
 
 
+# bytes a mixed state's Haar block may take, 16 (samples + 1) d^2 at rank d
+HAAR_BLOCK_BYTES = 1 << 30
 # bytes of Ginibre draws per slice of the Haar block; QR and its temporaries
 # then take a few MB beside the block, whatever the sample count
 _HAAR_SLICE_BYTES = 1 << 20

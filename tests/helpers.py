@@ -288,89 +288,26 @@ def brute_level_maxima(observables, radius=None):
     return maxima
 
 
-def product_order_index_sets(observables, n):
-    """Index sets of the level-n choices, split by split, in ``itertools.product`` order."""
-    counts = [obs.outcome_count for obs in observables]
-    sets = []
-    for split in itertools.product(*(range(c + 1) for c in counts)):
-        if sum(split) != n:
-            continue
-        sets += itertools.product(
-            *(itertools.combinations(range(c), k) for c, k in zip(counts, split))
-        )
-    return sets
-
-
-def reference_level_operators(observables, n, chunk=bd._CHUNK):
-    """Level-n subset operators as the split-by-split sweep built them.
-
-    Per observable and size k, its k-subsets in ``itertools.combinations``
-    order and their summed projectors; per split (sizes summing to n, in
-    ``itertools.product`` order) an ``unravel_index`` over the product of
-    its tables and a ``sum()`` of the pieces, empty index sets skipped.
-    Yields (index sets, operators) per chunk of ``chunk`` operators;
-    consecutive splits share a chunk.
-    """
-    tables = []
-    for obs in observables:
-        c, proj = obs.outcome_count, np.stack(obs.projectors)
-        sets = (np.array(list(itertools.combinations(range(c), k)), dtype=int).reshape(
-            math.comb(c, k), k) for k in range(min(c, n) + 1))
-        tables.append([(s, proj[s].sum(axis=1)) for s in sets])
-    index_sets, ops, size = [], [], 0
-    for split in itertools.product(*(range(len(row)) for row in tables)):
-        if sum(split) != n:
-            continue
-        parts = [row[k] for row, k in zip(tables, split)]
-        shape = tuple(len(sets) for sets, _ in parts)
-        total = math.prod(shape)
-        start = 0
-        while start < total:
-            stop = min(total, start + chunk - size)
-            rows = np.unravel_index(np.arange(start, stop), shape)
-            index_sets += zip(*(sets[r].tolist() for (sets, _), r in zip(parts, rows)))
-            ops.append(sum(sums[r] for (_, sums), r, k in zip(parts, rows, split) if k))
-            size += stop - start
-            start = stop
-            if size == chunk:
-                yield [tuple(map(tuple, s)) for s in index_sets], np.concatenate(ops)
-                index_sets, ops, size = [], [], 0
-    if size:
-        yield [tuple(map(tuple, s)) for s in index_sets], np.concatenate(ops)
-
-
-def reference_max_certificates(observables, levels, constraint):
-    """(value, index sets, operator, state) per level from a sweep over
-    ``reference_level_operators``, as the split-by-split sweep chose and
-    rebuilt its winners: the largest lambda_max and the smallest lambda_min
-    of each level n <= L/2, the earlier on a tie, the second's complement
-    for level L - n."""
-    counts = [obs.outcome_count for obs in observables]
-    total, offsets = sum(counts), list(itertools.accumulate(counts, initial=0))
+def assert_max_certificates(observables, constraint=bd.StateConstraint.all_states()):
+    """Check supremum_s against brute-force level maxima and its certificates."""
+    radius = constraint.r if constraint.kind == "fixed_bloch_norm" else None
+    _, certs = bd.supremum_s(observables, constraint)
+    expected = brute_level_maxima(observables, radius)
+    assert [c.level for c in certs] == list(range(1, len(expected) + 1))
+    assert np.max(np.abs(np.array([c.value for c in certs]) - expected)) <= 1e-12
     proj = np.concatenate([np.stack(obs.projectors) for obs in observables])
-    out = {}
-    for n in sorted({min(n, total - n) for n in levels}):
-        top, bottom = (-np.inf, None), (np.inf, None)
-        for sets, ops in reference_level_operators(observables, n):
-            w = np.linalg.eigvalsh(ops)
-            hi, lo = w[:, -1], w[:, 0]
-            if constraint.r is not None:
-                half = 0.5 * np.real(np.trace(ops, axis1=-2, axis2=-1))
-                hi, lo = [bd._at_radius(x, half, constraint) for x in (hi, lo)]
-            i, j = int(hi.argmax()), int(lo.argmin())
-            if hi[i] > top[0]:
-                top = (hi[i], sets[i])
-            if lo[j] < bottom[0]:
-                bottom = (lo[j], sets[j])
-        for level, (_, sets), complement in ((total - n, bottom, True), (n, top, False)):
-            if complement:
-                sets = tuple(tuple(i for i in range(c) if i not in s) for c, s in zip(counts, sets))
-            cmat = proj[[o + i for o, s in zip(offsets, sets) for i in s]].sum(axis=0)
-            w, v = np.linalg.eigh(cmat)
-            value = bd._at_radius(w[-1], 0.5 * np.real(np.trace(cmat)), constraint)
-            state = bd._at_radius(np.outer(v[:, -1], v[:, -1].conj()), 0.5 * np.eye(2), constraint)
-            out[level] = (float(value), sets, cmat, state)
-    return [out[n] for n in levels]
+    offsets = np.cumsum([0] + [obs.outcome_count for obs in observables])
+    for cert in certs:
+        # the value is reproduced from the certificate's own index sets
+        flat = [o + i for o, s in zip(offsets, cert.achieving_choice.index_sets) for i in s]
+        assert len(flat) == cert.level
+        op = proj[flat].sum(axis=0)
+        value = np.linalg.eigvalsh(op)[-1]
+        if radius is not None:
+            half = 0.5 * np.real(np.trace(op))
+            value = half + radius * (value - half)
+        assert abs(cert.value - value) <= 1e-12
+        assert np.max(np.abs(cert.achieving_choice.matrix - op)) <= 1e-12
 
 
 def fibonacci_sphere(count):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -33,12 +34,11 @@ from uqcr.bounds import (
     SolverConfig,
     StateConstraint,
     _CHUNK,
-    _choice_chunks,
-    _choice_tables,
     _born,
     _kelley_dual_bound,
     _max_certificates,
     _projector_stack,
+    _subset_chunks,
     _top_n_sum,
     planar_triple_observables,
 )
@@ -46,6 +46,7 @@ from uqcr import bounds as bounds_module
 from uqcr.quantum import PAULIS
 
 from helpers import (
+    assert_max_certificates,
     brute_level_maxima,
     brute_pure_qubit_minima,
     coarse_grained_basis,
@@ -53,10 +54,8 @@ from helpers import (
     kelley_choice_dual,
     load_script,
     prefix_majorized,
-    product_order_index_sets,
     random_orthonormal_basis,
     reference_kelley_dual_bound,
-    reference_level_operators,
     sample_mixed_states,
     sample_pure_states,
     sorted_prefix_matrix,
@@ -125,17 +124,18 @@ def test_choice_operator_invariants():
     [pauli_observable("z")],
 ], ids=["xz", "planar_triple", "qutrit_mubs", "coarse_d4x3", "single"])
 def test_choice_order_matches_product(observables):
-    # splits in lexicographic order, then itertools.product over the
-    # per-observable combinations
+    # the n-subsets of the L stacked projectors in itertools.combinations
+    # order, each split into per-observable index sets, each operator the
+    # sum of its projectors bit for bit
     total = sum(obs.outcome_count for obs in observables)
     proj = _projector_stack(observables)
     offsets = np.cumsum([0] + [obs.outcome_count for obs in observables])
     for n in range(1, total):
         choices = enumerate_choices(observables, n)
-        assert [c.index_sets for c in choices] == product_order_index_sets(observables, n)
-        for c in choices:
-            flat = [o + i for o, s in zip(offsets, c.index_sets) for i in s]
-            assert np.max(np.abs(c.matrix - proj[flat].sum(axis=0))) <= 1e-12
+        flats = [[o + i for o, s in zip(offsets, c.index_sets) for i in s] for c in choices]
+        assert flats == [list(s) for s in itertools.combinations(range(total), n)]
+        for c, flat in zip(choices, flats):
+            assert c.matrix.tobytes() == proj[flat].sum(axis=0).tobytes()
 
 
 def test_top_n_sum_basics():
@@ -291,33 +291,11 @@ def test_supremum_fixed_norm_interpolates():
     assert np.allclose(s0.entries, 0.5, atol=1e-9)
 
 
-def _assert_max_certificates(observables, constraint=StateConstraint.all_states()):
-    """Check supremum_s against brute-force level maxima and its certificates."""
-    radius = constraint.r if constraint.kind == "fixed_bloch_norm" else None
-    _, certs = supremum_s(observables, constraint)
-    expected = brute_level_maxima(observables, radius)
-    assert [c.level for c in certs] == list(range(1, len(expected) + 1))
-    assert np.max(np.abs(np.array([c.value for c in certs]) - expected)) <= 1e-12
-    proj = _projector_stack(observables)
-    offsets = np.cumsum([0] + [obs.outcome_count for obs in observables])
-    for cert in certs:
-        # the value is reproduced from the certificate's own index sets
-        flat = [o + i for o, s in zip(offsets, cert.achieving_choice.index_sets) for i in s]
-        assert len(flat) == cert.level
-        op = proj[flat].sum(axis=0)
-        value = np.linalg.eigvalsh(op)[-1]
-        if radius is not None:
-            half = 0.5 * np.real(np.trace(op))
-            value = half + radius * (value - half)
-        assert abs(cert.value - value) <= 1e-12
-        assert np.max(np.abs(cert.achieving_choice.matrix - op)) <= 1e-12
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 4), st.integers(2, 4), st.integers(0, 2**32 - 1))
 def test_supremum_matches_brute_force_random_bases(dim, count, seed):
     rng = np.random.default_rng(seed)
-    _assert_max_certificates([random_orthonormal_basis(dim, rng) for _ in range(count)])
+    assert_max_certificates([random_orthonormal_basis(dim, rng) for _ in range(count)])
 
 
 @pytest.mark.parametrize("observables", [
@@ -329,7 +307,7 @@ def test_supremum_matches_brute_force_random_bases(dim, count, seed):
     [coarse_grained_basis(5, (2, 2, 1), np.random.default_rng(10))],
 ], ids=["coarse_d4x3", "coarse_d6x3", "coarse_and_fine", "single_basis", "single_coarse"])
 def test_supremum_matches_brute_force(observables):
-    _assert_max_certificates(observables)
+    assert_max_certificates(observables)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.3, 0.7, 1.0])
@@ -341,7 +319,7 @@ def test_supremum_matches_brute_force(observables):
     TRIVIAL_PROJECTORS,
 ], ids=["xz", "planar_triple", "qubit_mubs", "random_qubit_x4", "trivial_projectors"])
 def test_supremum_fixed_norm_matches_brute_force(observables, r):
-    _assert_max_certificates(observables, StateConstraint.fixed_bloch_norm(r))
+    assert_max_certificates(observables, StateConstraint.fixed_bloch_norm(r))
 
 
 def test_max_topn_levels_match_supremum():
@@ -354,52 +332,27 @@ def test_max_topn_levels_match_supremum():
         assert single.achieving_choice.index_sets == cert.achieving_choice.index_sets
 
 
-@pytest.mark.parametrize("observables", [
-    standard_mub_set(3),
-    [random_orthonormal_basis(4, np.random.default_rng(16)) for _ in range(4)],
-    [coarse_grained_basis(4, (2, 1, 1), np.random.default_rng(i)) for i in range(3)],
-], ids=["qutrit_mubs", "haar_d4x4", "coarse_d4x3"])
-def test_choice_chunks_pack_splits(observables):
-    # consecutive splits share chunks: every chunk but a level's last is
-    # full, and each operator is the sum of the table rows it names, in
-    # product order
-    total = sum(o.outcome_count for o in observables)
-    tables = _choice_tables(observables, total // 2)
-    for n in range(1, total // 2 + 1):
-        chunks = list(_choice_chunks(tables, n))
-        assert len(chunks) == -(-math.comb(total, n) // _CHUNK)
-        assert all(len(ops) == _CHUNK for _, ops in chunks[:-1])
-        sets = []
-        for rows, ops in chunks:
-            for i, row in enumerate(zip(*rows)):
-                sets.append(tuple(t.sets[r] for t, r in zip(tables, row)))
-                assert np.array_equal(ops[i], sum(t.sums[r] for t, r in zip(tables, row)))
-        assert sets == product_order_index_sets(observables, n)
-
-
 @pytest.mark.parametrize("chunk", [1, 7, 64])
-def test_choice_chunks_blocks_of_splits_keep_product_order(monkeypatch, chunk):
-    # chunks and blocks of splits far smaller than the operator and split
-    # counts: the operators, their order and the max certificates stay put;
-    # a one-outcome observable adds splits with an empty set
+def test_subset_chunks_keep_combinations_order(monkeypatch, chunk):
+    # chunks far smaller than the operator counts: every chunk but a
+    # level's last is full, the subsets stay in combinations order, and
+    # the max certificates stay put; a one-outcome observable adds the
+    # identity to the stack
     observables = [coarse_grained_basis(4, (2, 1, 1), np.random.default_rng(i)) for i in range(3)]
     observables.append(ProjectiveObservable((np.eye(4, dtype=complex),), "trivial"))
     total = sum(o.outcome_count for o in observables)
-    want = {n: list(reference_level_operators(observables, n)) for n in range(1, total)}
     certs = _max_certificates(observables, range(1, total), StateConstraint.all_states())
     monkeypatch.setattr(bounds_module, "_CHUNK", chunk)
-    tables = _choice_tables(observables, total - 1)
     for n in range(1, total):
-        chunks = list(_choice_chunks(tables, n))
-        assert all(0 < len(ops) <= chunk for _, ops in chunks)
-        sets = [tuple(t.sets[r] for t, r in zip(tables, row))
-                for rows, _ in chunks for row in zip(*(r.tolist() for r in rows))]
-        assert sets == [s for ref_sets, _ in want[n] for s in ref_sets]
-        ops = np.concatenate([ops for _, ops in chunks])
-        assert ops.tobytes() == np.concatenate([ops for _, ops in want[n]]).tobytes()
+        chunks = list(_subset_chunks(total, n))
+        assert all(len(rows) == chunk for rows in chunks[:-1])
+        assert 0 < len(chunks[-1]) <= chunk
+        assert [tuple(row) for rows in chunks for row in rows.tolist()] == list(
+            itertools.combinations(range(total), n))
     small = _max_certificates(observables, range(1, total), StateConstraint.all_states())
     for a, b in zip(certs, small):
         assert (a.value, a.achieving_choice.index_sets) == (b.value, b.achieving_choice.index_sets)
+        assert a.achieving_choice.matrix.tobytes() == b.achieving_choice.matrix.tobytes()
 
 
 def test_supremum_memory_is_one_chunk():
@@ -822,9 +775,8 @@ def test_solver_config_defaults():
     cfg = SolverConfig()
     assert cfg.max_iter == 80
     assert cfg.multistarts == 64
-    assert cfg.tol == 1e-7
     assert cfg.seed == 0
-    assert [f.name for f in dataclasses.fields(cfg)] == ["max_iter", "multistarts", "tol", "seed"]
+    assert [f.name for f in dataclasses.fields(cfg)] == ["max_iter", "multistarts", "seed"]
 
 
 # ---------------------------------------------------------------------------

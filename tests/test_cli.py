@@ -356,10 +356,6 @@ def test_mismatched_observables_name_field(tmp_path, xz_bounds_file, capsys, com
     [
         ("--multistarts", "0", "multistarts"),
         ("--max-iter", "-1", "max_iter"),
-        ("--tol", "-1", "tol"),
-        # inf and nan would pass a bare "> 0" or fail it without a message
-        ("--tol", "inf", "tol"),
-        ("--tol", "nan", "tol"),
         ("--seed", "-1", "seed"),
     ],
 )
@@ -389,6 +385,11 @@ def test_bad_solver_flag_is_input_error(tmp_path, capsys, flag, value, field):
     ("observables[0]", 5),
     ("observables[0]", {"name": "X", "projectors": 5}),
     pytest.param("total", 10**400, id="total-too-large-for-float"),
+    # a short s once passed verify with exit 0, and a long t broke lorenz
+    pytest.param("s", [1.0, 1.0], id="short_s"),
+    pytest.param("t", [0.5] * 6, id="long_t"),
+    pytest.param("t", [1.0, 0.5, 0.5], id="short_t"),
+    pytest.param("total", 3.0, id="total_not_M"),
 ])
 def test_malformed_bounds_file_names_field(tmp_path, xz_bounds_file, capsys, field, value):
     doc = json.loads(xz_bounds_file.read_text())
@@ -405,9 +406,10 @@ def test_malformed_bounds_file_names_field(tmp_path, xz_bounds_file, capsys, fie
         ["entropy", "--state", state, "--bounds", str(bad)],
     ):
         assert run(argv) == 1
-        err = capsys.readouterr().err
-        assert f"error: {bad}.{field}: " in err
-        assert "Traceback" not in err
+        captured = capsys.readouterr()
+        assert f"error: {bad}.{field}: " in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("field", ["t", "s"])
@@ -433,13 +435,15 @@ def test_nan_envelope_is_input_error(tmp_path, xz_bounds_file, capsys, field):
 
 
 def test_bounds_file_with_oracle_samples_still_verifies(tmp_path, xz_bounds_file, capsys):
-    # files written while the solver had a sampling oracle carry
-    # solver_config.oracle_samples; readers ignore solver_config
+    # files written while the solver had a sampling oracle and a --tol flag
+    # carry solver_config.oracle_samples and .tol; readers ignore solver_config
     state = config("states/maximally_mixed_d2.json")
     assert run(["verify", "--state", state, "--bounds", str(xz_bounds_file)]) == 0
     expected = capsys.readouterr()
     doc = json.loads(xz_bounds_file.read_text())
+    assert "tol" not in doc["solver_config"]
     doc["solver_config"]["oracle_samples"] = 100_000
+    doc["solver_config"]["tol"] = 1e-7
     old = tmp_path / "old_bounds.json"
     old.write_text(json.dumps(doc, indent=2))
     assert run(["verify", "--state", state, "--bounds", str(old)]) == 0
@@ -476,27 +480,39 @@ def _write_bases(path, dim, bases):
     return str(path)
 
 
-def test_choice_tables_budget_rejects_before_solving(tmp_path, capsys, monkeypatch):
+def test_choice_budget_accepts_one_d20_basis():
     # one 20-outcome basis in d=20: level 10 has C(20, 10) = 184,756
-    # operators, under the per-level limit, but the k-subset sums of the
-    # basis for k <= 10 would take 16 * 20^2 * 616,666 bytes, about 3.9 GB
-    from uqcr import bounds, observable_from_basis, supremum_s
+    # operators, under the per-level limit; the sweep streams them in
+    # chunks, so no other size guard applies
+    from uqcr import bounds, observable_from_basis
 
-    def no_solve(*args, **kwargs):
-        raise AssertionError("the size guard must fire before any table is built")
+    bounds.check_choice_budget([observable_from_basis(np.eye(20))])
 
-    monkeypatch.setattr(bounds, "infimum_t", no_solve)
-    monkeypatch.setattr(bounds, "_choice_tables", no_solve)
-    entries = sum(math.comb(20, k) for k in range(11))
-    with pytest.raises(bounds.EnumerationTooLarge, match=f"{entries} entries"):
-        supremum_s([observable_from_basis(np.eye(20))])
-    obs = _write_bases(tmp_path / "obs.json", 20, [np.eye(20)])
-    out = tmp_path / "o.json"
-    assert run(["bounds", "--observables", obs, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert f"error: --observables: L=20 outcomes: the subset tables have {entries} entries" in err
-    assert f"{16 * 20 * 20 * entries} bytes" in err
-    assert not out.exists()
+
+def _real_pairs(rows):
+    return [[[float(x), 0.0] for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"ket": [[1, 0], [0, 0], [0, 0]]}, "ket"),
+    ({"density": _real_pairs(np.eye(3) / 3)}, "density"),
+    ({"density": _real_pairs([[0.5, 0, 0], [0, 0.5, 0]])}, "density"),
+], ids=["ket_d3", "density_d3", "density_2x3"])
+def test_state_of_wrong_dimension_names_field(tmp_path, xz_bounds_file, capsys, doc, field):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(doc))
+    for argv in (
+        ["verify", "--state", str(state), "--bounds", str(xz_bounds_file)],
+        ["lorenz", "--bounds", str(xz_bounds_file), "--state", str(state),
+         "--csv", str(tmp_path / "l.csv")],
+        ["entropy", "--state", str(state), "--bounds", str(xz_bounds_file)],
+        ["coherence", "--bases", config("pauli_xz.json"), "--state", str(state)],
+    ):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert f"error: {state}.{field}: " in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "l.csv").exists()
 
 
 def test_fixed_bloch_norm_off_qubit_names_constraint(tmp_path, capsys, monkeypatch):

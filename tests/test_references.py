@@ -5,8 +5,9 @@
 ``perfbench/make_references.py`` wrote them; both are only read here.
 ``s`` is checked on every job, ``t`` on the rank-1 all-states jobs,
 which close at the uniform dual.  The tolerances are the benchmark's.
-The jobs also pin the gathered ``s`` sweep and the one-matmul Born
-probabilities bit for bit to the code paths they replaced.
+The jobs also check the gathered ``s`` sweep against brute force, and
+pin the one-matmul Born probabilities bit for bit to the code path they
+replaced.
 """
 
 import importlib.util
@@ -20,7 +21,7 @@ import pytest
 from uqcr import bounds as bd
 from uqcr.cli import _parse_constraint
 
-from helpers import reference_level_operators, reference_max_certificates
+from helpers import assert_max_certificates
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 S_TOL = 1e-9
@@ -69,32 +70,10 @@ def _same_bits(a, b) -> bool:
 
 @pytest.mark.parametrize("job", JOBS, ids=[job.ref_key for job in JOBS])
 def test_gathered_sweep_matches_split_sweep(job):
-    observables = wl.parse_checked(job)
-    constraint = _parse_constraint(job.constraint)
-    total = sum(obs.outcome_count for obs in observables)
-    tables = bd._choice_tables(observables, total // 2)
-    for n in range(1, total // 2 + 1):
-        ref = list(reference_level_operators(observables, n))
-        chunks = list(bd._choice_chunks(tables, n))
-        assert len(chunks) == len(ref)
-        for (rows, ops), (sets, ref_ops) in zip(chunks, ref):
-            assert _same_bits(ops, ref_ops)
-            assert [tuple(t.sets[r] for t, r in zip(tables, row))
-                    for row in zip(*(r.tolist() for r in rows))] == sets
-    levels = range(1, total)
-    certs = bd._max_certificates(observables, levels, constraint)
-    for cert, (value, sets, cmat, state) in zip(
-            certs, reference_max_certificates(observables, levels, constraint)):
-        assert cert.value == value
-        assert cert.achieving_choice.index_sets == sets
-        assert _same_bits(cert.achieving_choice.matrix, cmat)
-        assert _same_bits(cert.achieving_state.matrix, state)
-    for n in levels:
-        choices = bd.enumerate_choices(observables, n)
-        ref = [(s, op) for sets, ops in reference_level_operators(observables, n)
-               for s, op in zip(sets, ops)]
-        assert [c.index_sets for c in choices] == [s for s, _ in ref]
-        assert all(_same_bits(c.matrix, op) for c, (_, op) in zip(choices, ref))
+    # the sweep gathers flat subsets of the stacked projectors; brute force
+    # over itertools.combinations gives every level's maximum, and each
+    # winner's subset, split into per-observable index sets, reproduces it
+    assert_max_certificates(wl.parse_checked(job), _parse_constraint(job.constraint))
 
 
 @pytest.mark.parametrize("job", JOBS, ids=[job.ref_key for job in JOBS])

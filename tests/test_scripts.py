@@ -76,3 +76,22 @@ def test_reference_digests_two_jobs(tmp_path):
     again = io.StringIO()
     assert script.write_digests(jobs, str(tmp_path / "again"), again)
     assert again.getvalue() == out.getvalue()
+    same = io.StringIO()
+    assert script.compare(jobs, str(tmp_path), str(tmp_path / "again"), same)
+    assert same.getvalue() == "0 of 2 bounds files differ\n"
+    # a moved s entry, a dropped solver_config field and a flipped zero sign
+    path = tmp_path / "again" / "mub3_all.bounds.json"
+    doc = json.loads(path.read_text())
+    doc["s"][0] += 1e-3
+    del doc["solver_config"]["seed"]
+    assert doc["certificates"]["min"][0]["diagnostics"]["residual"] == 0.0
+    doc["certificates"]["min"][0]["diagnostics"]["residual"] = -0.0
+    path.write_text(json.dumps(doc))
+    diff = io.StringIO()
+    assert script.compare(jobs, str(tmp_path), str(tmp_path / "again"), diff)
+    assert diff.getvalue().splitlines() == [
+        "mub3_all: certificates.min, s, solver_config.seed; max |dt| 0, max |ds| 0.001",
+        "1 of 2 bounds files differ",
+    ]
+    path.unlink()
+    assert not script.compare(jobs, str(tmp_path), str(tmp_path / "again"), io.StringIO())
