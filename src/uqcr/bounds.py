@@ -82,6 +82,8 @@ CHOICE_OPERATOR_LIMIT = 1 << 24
 _CHUNK = 4096
 # an all-states level stops once its dual is within this of the primal value
 _GAP_TOL = 1e-9
+# ... or once the Kelley LP bound is within this of the best certified value
+_LP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -332,8 +334,8 @@ def _capped_simplex_lp(count: int, n: int):
     return lp, _highs.HighsModelStatus.kOptimal
 
 
-def _kelley_dual_bound(proj: np.ndarray, n: int, target: float, max_lps: int,
-                       tol: float = 1e-12) -> tuple[float, np.ndarray | None, int]:
+def _kelley_dual_bound(proj: np.ndarray, n: int, target: float,
+                       max_lps: int) -> tuple[float, np.ndarray | None, int]:
     """Maximize lambda_min(sum_k w_k Pi_k) over the capped simplex.
 
     The weights range over {0 <= w_k <= 1, sum_k w_k = n}, one per
@@ -347,7 +349,7 @@ def _kelley_dual_bound(proj: np.ndarray, n: int, target: float, max_lps: int,
     value z, row 0 the sum of w, one row per cut; each cut is one added
     row, and the dual simplex re-solves from the previous basis.  Stops
     once the value reaches ``target`` (the primal value less the gap
-    tolerance), the LP bound is within ``tol``, or after ``max_lps``
+    tolerance), the LP bound is within ``_LP_TOL``, or after ``max_lps``
     LPs.  The LP's cut multipliers mu_j sum to 1, and by LP duality
     rho = sum_j mu_j v_j v_j^dag has top-n sum equal to the LP bound.
     Returns the best certified value (a valid lower bound at every
@@ -388,7 +390,7 @@ def _kelley_dual_bound(proj: np.ndarray, n: int, target: float, max_lps: int,
         # keeps lambda_min a lower bound on every state's top-n sum
         w = np.clip(x[:count], 0.0, 1.0)
         w *= min(1.0, n / w.sum())
-        if float(x[count]) - best <= tol:
+        if float(x[count]) - best <= _LP_TOL:
             break
     return best, state, lps
 
@@ -714,11 +716,7 @@ def infimum_t(observables,
     certificates = [cert for cert, _ in solved]
     minima = [0.0] + [assembly for _, assembly in solved]
     minima.append(float(n_obs))
-    entries = np.diff(np.maximum.accumulate(minima))
-    entries = mj._isotonic_nonincreasing(entries, tol=1e-6)
-    np.clip(entries, 0.0, None, out=entries)
-    entries[0] += n_obs - entries.sum()
-    return mj.ProbVector(entries, float(n_obs)), certificates
+    return _envelope(np.maximum.accumulate(minima), 1e-6, n_obs), certificates
 
 
 def supremum_s(observables,
@@ -735,12 +733,17 @@ def supremum_s(observables,
     certificates = _max_certificates(observables, range(1, total_outcomes), constraint)
     maxima = [0.0] + [cert.value for cert in certificates]
     maxima.append(float(n_obs))
-    flat = mj.least_concave_majorant(np.array(maxima))
-    entries = np.diff(flat)
-    entries = mj._isotonic_nonincreasing(entries, tol=1e-9)
+    return _envelope(mj.least_concave_majorant(np.array(maxima)), 1e-9, n_obs), certificates
+
+
+def _envelope(curve: np.ndarray, tol: float, n_obs: int) -> mj.ProbVector:
+    """The envelope of a level curve from 0 to ``n_obs``: its differences
+    made nonincreasing up to ``tol`` by pool-adjacent-violators, clipped at
+    0, with the rounding left over added to the first entry."""
+    entries = mj._isotonic_nonincreasing(np.diff(curve), tol=tol)
     np.clip(entries, 0.0, None, out=entries)
     entries[0] += n_obs - entries.sum()
-    return mj.ProbVector(entries, float(n_obs)), certificates
+    return mj.ProbVector(entries, float(n_obs))
 
 
 def two_basis_trivial_bound(dim: int) -> mj.ProbVector:

@@ -9,8 +9,11 @@ writes go through write-temp-then-rename.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -27,6 +30,7 @@ from .quantum import (
     DensityMatrix,
     ProjectiveObservable,
     bloch_to_density,
+    density_to_bloch,
     observable_from_basis,
     observable_from_bloch_axis,
     pauli_observable,
@@ -52,18 +56,27 @@ def _matrix_to_json(m: np.ndarray) -> list:
     m = np.ascontiguousarray(m, dtype=complex)
     return m.view(float).reshape(*m.shape, 2).tolist()
 
+def _number(x, field: str) -> float:
+    """``x`` as a finite float.  Only JSON ints and floats pass: a bool,
+    string, null, list or object is refused, and so are NaN, +-inf and ints
+    too large for a float.  ``field`` opens the message: ``"PATH.norm:"``,
+    or ``"PATH.bloch: entries"`` for a vector's entries."""
+    if type(x) is not float:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise InputError(f"{field} expected a number")
+        try:
+            x = float(x)
+        except OverflowError:
+            raise InputError(f"{field} must be finite") from None
+    if not math.isfinite(x):
+        raise InputError(f"{field} must be finite")
+    return x
+
 def _json_to_complex(x, field: str) -> complex:
-    if (not isinstance(x, (list, tuple))) or len(x) != 2:
+    if not isinstance(x, (list, tuple)) or len(x) != 2:
         raise InputError(f"{field}: complex numbers are [re, im] pairs")
-    try:
-        z = complex(float(x[0]), float(x[1]))
-    except OverflowError:
-        raise InputError(f"{field}: complex parts must be finite") from None
-    except (TypeError, ValueError):
-        raise InputError(f"{field}: complex parts must be numbers") from None
-    if not np.isfinite(z):
-        raise InputError(f"{field}: complex parts must be finite")
-    return z
+    parts = f"{field}: complex parts"
+    return complex(_number(x[0], parts), _number(x[1], parts))
 
 def _json_to_vector(x, field: str) -> np.ndarray:
     if not isinstance(x, list) or not x:
@@ -81,15 +94,29 @@ def _json_to_matrix(x, field: str) -> np.ndarray:
 def _real_vector(x, field: str, size: int) -> np.ndarray:
     if not isinstance(x, list) or len(x) != size:
         raise InputError(f"{field}: expected {size} numbers")
+    return np.array([_number(v, f"{field}: entries") for v in x])
+
+
+def _one_of(doc: dict, keys: tuple, field: str) -> str:
+    """The one key of ``keys`` that ``doc`` has."""
+    found = [key for key in keys if key in doc]
+    if len(found) != 1:
+        raise InputError(f"{field}: exactly one of {'/'.join(keys)} required")
+    return found[0]
+
+
+@contextlib.contextmanager
+def _naming(field: str | None):
+    """Re-raise a library error in the block as an ``InputError`` naming
+    ``field``; ``None`` names the flag that starts a config error's message
+    ("max_iter must be >= 0" names --max-iter)."""
     try:
-        vec = np.array([float(v) for v in x])
-    except OverflowError:
-        raise InputError(f"{field}: entries must be finite") from None
-    except (TypeError, ValueError):
-        raise InputError(f"{field}: entries must be numbers") from None
-    if not np.all(np.isfinite(vec)):
-        raise InputError(f"{field}: entries must be finite")
-    return vec
+        yield
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError, UqcrError) as exc:
+        field = field or "--" + str(exc).split()[0].replace("_", "-")
+        raise InputError(f"{field}: {exc}") from None
 
 
 def _load_json(path: str) -> dict:
@@ -192,13 +219,8 @@ def parse_observable_file(doc: dict, origin: str = "observables"):
         if not isinstance(entry, dict):
             raise InputError(f"{field}: expected an object")
         name = entry.get("name", f"obs{i}")
-        keys = [k for k in ("basis", "projectors", "bloch_axis", "preset") if k in entry]
-        if len(keys) != 1:
-            raise InputError(
-                f"{field}: exactly one of basis/projectors/bloch_axis/preset required"
-            )
-        kind = keys[0]
-        try:
+        kind = _one_of(entry, ("basis", "projectors", "bloch_axis", "preset"), field)
+        with _naming(field):
             if kind == "preset":
                 observables.extend(_expand_preset(entry["preset"], dim, name, field))
                 continue
@@ -219,10 +241,6 @@ def parse_observable_file(doc: dict, origin: str = "observables"):
                     for j, m in enumerate(entry["projectors"])
                 ]
                 obs = ProjectiveObservable(tuple(mats), name)
-        except (TypeError, ValueError, UqcrError) as exc:
-            if isinstance(exc, InputError):
-                raise
-            raise InputError(f"{field}: {exc}") from None
         if obs.dim != dim:
             raise InputError(f"{field}: dimension {obs.dim} != declared {dim}")
         observables.append(obs)
@@ -236,48 +254,31 @@ def _expand_preset(preset, dim: int, name: str, field: str):
         obs = pauli_observable(preset[-1])
         return [ProjectiveObservable(obs.projectors, name or obs.name)]
     if preset == "mub_set":
-        try:
+        with _naming(f"{field}.preset"):
             return standard_mub_set(dim)
-        except UqcrError as exc:
-            raise InputError(f"{field}.preset: {exc}") from None
     raise InputError(f"{field}.preset: unknown preset {preset!r}")
 
 
 def parse_state_file(doc: dict, dim: int, origin: str = "state") -> DensityMatrix:
-    keys = [k for k in ("density", "ket", "bloch") if k in doc]
-    if len(keys) != 1:
-        raise InputError(f"{origin}: exactly one of density/ket/bloch required")
-    kind = keys[0]
-    try:
+    kind = _one_of(doc, ("density", "ket", "bloch"), origin)
+    field = f"{origin}.{kind}"
+    with _naming(field):
         if kind != "bloch":
-            field = f"{origin}.{kind}"
             rho = (DensityMatrix(_json_to_matrix(doc[kind], field)) if kind == "density"
                    else DensityMatrix.from_ket(_json_to_vector(doc[kind], field)))
             if rho.dim != dim:
                 raise InputError(f"{field}: dimension {rho.dim} != the observables' {dim}")
             return rho
         if dim != 2:
-            raise InputError(f"{origin}.bloch: only valid in dimension 2")
-        vec = _real_vector(doc["bloch"], f"{origin}.bloch", 3)
+            raise InputError(f"{field}: only valid in dimension 2")
+        vec = _real_vector(doc["bloch"], field, 3)
         if "norm" in doc:
-            norm = doc["norm"]
-            if isinstance(norm, bool) or not isinstance(norm, (int, float)):
-                raise InputError(f"{origin}.norm: expected a number")
-            try:
-                norm = float(norm)
-            except OverflowError:
-                norm = np.inf
-            if not np.isfinite(norm):
-                raise InputError(f"{origin}.norm: must be finite")
+            norm = _number(doc["norm"], f"{origin}.norm:")
             length = np.linalg.norm(vec)
             if length == 0.0:
-                raise InputError(f"{origin}.bloch: zero direction with a norm")
+                raise InputError(f"{field}: zero direction with a norm")
             vec = vec / length * norm
         return bloch_to_density(vec)
-    except (ValueError, UqcrError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"{origin}.{kind}: {exc}") from None
 
 
 def _parse_constraint(text: str) -> bd.StateConstraint:
@@ -286,10 +287,8 @@ def _parse_constraint(text: str) -> bd.StateConstraint:
     if text == "pure":
         return bd.StateConstraint.pure_only()
     if text.startswith("bloch="):
-        try:
+        with _naming("--constraint"):
             return bd.StateConstraint.fixed_bloch_norm(float(text[6:]))
-        except ValueError as exc:
-            raise InputError(f"--constraint: {exc}") from None
     raise InputError(f"--constraint: expected all, pure or bloch=R, got {text!r}")
 
 
@@ -328,10 +327,9 @@ def _certificate_to_json(cert: bd.BoundCertificate) -> dict:
 
 
 def _constraint_from_json(doc, field: str) -> bd.StateConstraint:
-    try:
-        return bd.StateConstraint(doc["kind"], doc.get("r"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{field}: {exc}") from None
+    with _naming(field):
+        kind, r = doc["kind"], doc.get("r")
+        return bd.StateConstraint(kind, r if r is None else _number(r, f"{field}.r:"))
 
 
 def _bounds_from_file(path: str):
@@ -339,31 +337,18 @@ def _bounds_from_file(path: str):
     for key in ("t", "s", "total", "constraint", "observables", "dimension"):
         if key not in doc:
             raise InputError(f"{path}: missing field {key!r}")
-    total = doc["total"]
-    if isinstance(total, bool) or not isinstance(total, (int, float)):
-        raise InputError(f"{path}.total: expected a number")
-    try:
-        total = float(total)
-    except OverflowError:
-        total = np.inf
-    if not np.isfinite(total):
-        raise InputError(f"{path}.total: must be finite")
+    total = _number(doc["total"], f"{path}.total:")
     _, observables = parse_observable_file(doc, path)
     if total != len(observables):
         raise InputError(f"{path}.total: expected {len(observables)}, the observable count, "
                          f"got {total!r}")
     count = sum(obs.outcome_count for obs in observables)
-    for key in ("t", "s"):
-        if not isinstance(doc[key], list) or len(doc[key]) != count:
-            raise InputError(f"{path}.{key}: expected a list of {count} entries, "
-                             "one per outcome of the observables")
-    try:
-        t = mj.ProbVector(np.array(doc["t"], dtype=float), total)
-        s = mj.ProbVector(np.array(doc["s"], dtype=float), total)
-    except (ValueError, UqcrError) as exc:
-        raise InputError(f"{path}: t/s: {exc}") from None
+    with _naming(f"{path}.t"):
+        t = mj.ProbVector(_real_vector(doc["t"], f"{path}.t", count), total)
+    with _naming(f"{path}.s"):
+        s = mj.ProbVector(_real_vector(doc["s"], f"{path}.s", count), total)
     constraint = _constraint_from_json(doc["constraint"], f"{path}.constraint")
-    return doc, t, s, constraint, observables
+    return t, s, constraint, observables
 
 
 def _observables_for(args, embedded):
@@ -403,8 +388,6 @@ def _state_admissible(rho: DensityMatrix, constraint: bd.StateConstraint) -> boo
         return True
     if constraint.kind == "pure_only":
         return rho.is_pure(1e-8)
-    from .quantum import density_to_bloch
-
     return abs(np.linalg.norm(density_to_bloch(rho)) - constraint.r) <= 1e-8
 
 
@@ -416,19 +399,14 @@ def cmd_bounds(args) -> int:
     constraint = _parse_constraint(args.constraint)
     if constraint.r is not None and dim != 2:
         raise InputError(f"--constraint: bloch=R needs dimension 2, the observables have {dim}")
-    try:
+    with _naming(None):
         cfg = bd.SolverConfig(
             max_iter=args.max_iter,
             multistarts=args.multistarts,
             seed=args.seed if args.seed is not None else _default_seed(),
         )
-    except ValueError as exc:
-        field = str(exc).split()[0]
-        raise InputError(f"--{field.replace('_', '-')}: {exc}") from None
-    try:
+    with _naming("--observables"):
         bd.check_choice_budget(observables)
-    except bd.EnumerationTooLarge as exc:
-        raise InputError(f"--observables: {exc}") from None
     t, t_certs = bd.infimum_t(observables, constraint, cfg)
     s, s_certs = bd.supremum_s(observables, constraint)
     doc = {
@@ -452,11 +430,16 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    _, t, s, constraint, embedded = _bounds_from_file(args.bounds)
+def _certify(args):
+    """``verify``/``entropy``: the state's report, the state, the bounds' constraint."""
+    t, s, constraint, embedded = _bounds_from_file(args.bounds)
     observables = _observables_for(args, embedded)
     rho = parse_state_file(_load_json(args.state), observables[0].dim, args.state)
-    report = certainty.certify_state(observables, rho, (t, s), unit=args.unit)
+    return certainty.certify_state(observables, rho, (t, s), unit=args.unit), rho, constraint
+
+
+def cmd_verify(args) -> int:
+    report, rho, constraint = _certify(args)
     text = _dump_json(_report_to_json(report))
     if args.out:
         _atomic_write(args.out, text)
@@ -479,7 +462,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lorenz(args) -> int:
-    _, t, s, _constraint, observables = _bounds_from_file(args.bounds)
+    t, s, _constraint, observables = _bounds_from_file(args.bounds)
     columns = [("L_t", mj.lorenz(t).values), ("L_s", mj.lorenz(s).values)]
     for i, path in enumerate(args.state or []):
         rho = parse_state_file(_load_json(path), observables[0].dim, path)
@@ -496,18 +479,9 @@ def cmd_lorenz(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    _, t, s, _constraint, embedded = _bounds_from_file(args.bounds)
-    observables = _observables_for(args, embedded)
-    rho = parse_state_file(_load_json(args.state), observables[0].dim, args.state)
-    report = certainty.certify_state(observables, rho, (t, s), unit=args.unit)
-    doc = {
-        "unit": report.unit,
-        "entropy_sum": report.entropy_sum,
-        "entropy_cap": report.entropy_cap,
-        "tightened_cap": report.tightened_cap,
-        "slack": report.slack,
-    }
-    sys.stdout.write(_dump_json(doc))
+    report = _report_to_json(_certify(args)[0])
+    keys = ("unit", "entropy_sum", "entropy_cap", "tightened_cap", "slack")
+    sys.stdout.write(_dump_json({key: report[key] for key in keys}))
     return EXIT_OK
 
 
@@ -521,16 +495,15 @@ def cmd_coherence(args) -> int:
             raise InputError(f"--bases: observable {basis.name!r} has degenerate outcomes; "
                              "coherence needs rank-1 bases")
     seed = args.seed if args.seed is not None else _default_seed()
-    try:
+    with _naming(None):
         cfg = bd.SolverConfig(seed=seed)
         sampling = coh.CoherenceSampling(samples=args.samples, seed=seed)
-    except ValueError as exc:
-        raise InputError(f"--{str(exc).split()[0]}: {exc}") from None
     # a mixed state's Haar block takes up to 16 (samples + 1) d^2 bytes
     block_bytes = 16 * (args.samples + 1) * dim * dim
     if block_bytes > coh.HAAR_BLOCK_BYTES:
         raise InputError(f"--samples: {args.samples} samples in d={dim} need {block_bytes} "
                          f"bytes of mixing unitaries, over the limit of {coh.HAAR_BLOCK_BYTES}")
+    states = [(path, parse_state_file(_load_json(path), dim, path)) for path in args.state or []]
     mu_t, mu_s = coh.coherence_complementarity_bounds(bases, cfg)
     doc = {
         "unit": args.unit,
@@ -540,8 +513,7 @@ def cmd_coherence(args) -> int:
         "entropy_mu_s": mj.shannon_entropy(mu_s, args.unit),
         "states": [],
     }
-    for path in args.state or []:
-        rho = parse_state_file(_load_json(path), dim, path)
+    for path, rho in states:
         ket = np.linalg.eigh(rho.matrix)[1][:, -1] if rho.is_pure(1e-10) else None
         per_basis = []
         for basis in bases:
@@ -570,6 +542,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache  # one parser per process; each parse fills a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="uqcr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -585,26 +558,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--out", required=True)
     p_bounds.set_defaults(func=cmd_bounds)
 
-    p_verify = sub.add_parser("verify", help="sandwich-check a state against bounds")
-    p_verify.add_argument("--observables", help="default: the bounds file's")
-    p_verify.add_argument("--state", required=True)
-    p_verify.add_argument("--bounds", required=True)
-    p_verify.add_argument("--out", default=None)
-    p_verify.add_argument("--unit", choices=("bits", "nats"), default="bits")
-    p_verify.set_defaults(func=cmd_verify)
+    for name, func, text in (("verify", cmd_verify, "sandwich-check a state against bounds"),
+                             ("entropy", cmd_entropy, "entropy caps for a state")):
+        p_cert = sub.add_parser(name, help=text)
+        p_cert.add_argument("--observables", help="default: the bounds file's")
+        p_cert.add_argument("--state", required=True)
+        p_cert.add_argument("--bounds", required=True)
+        p_cert.add_argument("--unit", choices=("bits", "nats"), default="bits")
+        if name == "verify":
+            p_cert.add_argument("--out", default=None)
+        p_cert.set_defaults(func=func)
 
     p_lorenz = sub.add_parser("lorenz", help="export Lorenz curves as CSV")
     p_lorenz.add_argument("--bounds", required=True)
     p_lorenz.add_argument("--state", action="append", default=None)
     p_lorenz.add_argument("--csv", required=True)
     p_lorenz.set_defaults(func=cmd_lorenz)
-
-    p_entropy = sub.add_parser("entropy", help="entropy caps for a state")
-    p_entropy.add_argument("--observables", help="default: the bounds file's")
-    p_entropy.add_argument("--state", required=True)
-    p_entropy.add_argument("--bounds", required=True)
-    p_entropy.add_argument("--unit", choices=("bits", "nats"), default="bits")
-    p_entropy.set_defaults(func=cmd_entropy)
 
     p_coh = sub.add_parser("coherence", help="coherence complementarity envelopes")
     p_coh.add_argument("--bases", required=True)
@@ -617,9 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UqcrError as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)

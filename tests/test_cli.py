@@ -429,7 +429,7 @@ def test_nan_envelope_is_input_error(tmp_path, xz_bounds_file, capsys, field):
     ):
         assert run(argv) == 1
         captured = capsys.readouterr()
-        assert f"error: {bad}: t/s: " in captured.err
+        assert f"error: {bad}.{field}: entries must be finite" in captured.err
         assert captured.out == ""
         assert not csv.exists()
 
@@ -513,6 +513,91 @@ def test_state_of_wrong_dimension_names_field(tmp_path, xz_bounds_file, capsys, 
         assert f"error: {state}.{field}: " in captured.err
         assert captured.out == ""
     assert not (tmp_path / "l.csv").exists()
+
+
+def test_coherence_checks_states_before_solving(tmp_path, capsys, monkeypatch):
+    from uqcr import coherence
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the states must be checked before any solve")
+
+    monkeypatch.setattr(coherence, "coherence_complementarity_bounds", no_solve)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"ket": [[1, 0], [0, 0], [0, 0]]}))
+    assert run(["coherence", "--bases", config("pauli_xz.json"),
+                "--state", config("states/ket_z_plus.json"), "--state", str(state)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {state}.ket: dimension 3 != the observables' 2" in captured.err
+    assert captured.out == ""
+
+
+def _set(doc, path, value):
+    """A copy of ``doc`` with the entry at ``path`` (keys and indices) set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _one_observable(entry):
+    return {"dimension": 2, "observables": [{"name": "A", **entry}]}
+
+
+# (field, file, document or None for the bounds file, path to a number, message after the file)
+_NUMBER_FIELDS = [
+    ("basis", "observables", _one_observable({"basis": _real_pairs(np.eye(2))}),
+     ("observables", 0, "basis", 0, 0, 0), ".observables[0].basis[0][0]: complex parts"),
+    ("projectors", "observables",
+     _one_observable({"projectors": [_real_pairs(np.diag(d)) for d in ((1, 0), (0, 1))]}),
+     ("observables", 0, "projectors", 0, 0, 0, 0), ".observables[0].projectors[0][0][0]: complex parts"),
+    ("bloch_axis", "observables", _one_observable({"bloch_axis": [0, 0, 1]}),
+     ("observables", 0, "bloch_axis", 0), ".observables[0].bloch_axis: entries"),
+    ("ket", "state", {"ket": [[1, 0], [0, 0]]}, ("ket", 0, 0), ".ket[0]: complex parts"),
+    ("density", "state", {"density": _real_pairs([[1, 0], [0, 0]])}, ("density", 0, 0, 0),
+     ".density[0][0]: complex parts"),
+    ("bloch", "state", {"bloch": [0, 0, 1]}, ("bloch", 0), ".bloch: entries"),
+    ("norm", "state", {"bloch": [0, 0, 1], "norm": 0.5}, ("norm",), ".norm:"),
+    ("total", "bounds", None, ("total",), ".total:"),
+    ("t", "bounds", None, ("t", 0), ".t: entries"),
+    ("s", "bounds", None, ("s", 0), ".s: entries"),
+]
+
+
+@pytest.mark.parametrize("value", [True, "1", None, {}], ids=["true", "string", "null", "object"])
+@pytest.mark.parametrize("field, kind, doc, path, message", _NUMBER_FIELDS,
+                         ids=[case[0] for case in _NUMBER_FIELDS])
+def test_non_number_names_field(tmp_path, xz_bounds_file, capsys, field, kind, doc, path,
+                                message, value):
+    # true and "1" once read as 1.0 in vectors, and an object in t ended in a traceback
+    if doc is None:
+        doc = json.loads(xz_bounds_file.read_text())
+    bad = tmp_path / f"{kind}.json"
+    bad.write_text(json.dumps(_set(doc, path, value)))
+    out = tmp_path / "out.json"
+    argv = {
+        "observables": ["bounds", "--observables", str(bad), "--out", str(out)],
+        "state": ["verify", "--state", str(bad), "--bounds", str(xz_bounds_file)],
+        "bounds": ["verify", "--state", config("states/maximally_mixed_d2.json"),
+                   "--bounds", str(bad)],
+    }[kind]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert f"error: {bad}{message} expected a number" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_parser_is_built_once_and_state_lists_start_empty(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["coherence", "--bases", config("pauli_xz.json"), "--seed", "1"]
+    assert run([*argv, "--state", config("states/ket_z_plus.json")]) == 0
+    assert len(json.loads(capsys.readouterr().out)["states"]) == 1
+    assert cli.build_parser().parse_args(argv).state is None
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["states"] == []
 
 
 def test_fixed_bloch_norm_off_qubit_names_constraint(tmp_path, capsys, monkeypatch):
