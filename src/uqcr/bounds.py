@@ -145,15 +145,12 @@ class SolverDiagnostics:
     1 the LP-multiplier state; for qubits the winning candidate's kind (0
     a cell point, 1 a circle point, 2 a crossing); in d >= 3 the winning
     scan start, or ``multistarts`` plus the winning settling copy (0 the
-    best ket itself).  ``residual`` and ``oracle_min`` are always 0.0 and
-    None; the bounds-file format keeps them.
+    best ket itself).
     """
 
     iterations: int
     multistart_index: int
-    residual: float
     dual_gap: float | None = None
-    oracle_min: float | None = None
 
 
 @dataclass(frozen=True)
@@ -360,7 +357,7 @@ def _kelley_dual_bound(proj: np.ndarray, n: int, target: float,
     flat = proj.reshape(count, -1).view(float)
     w = np.full(count, n / count)
     kets: list[np.ndarray] = []
-    best, state, lps = -np.inf, None, 0
+    best, mu, lps = -np.inf, None, 0
     cols, cut = np.arange(count + 1, dtype=np.int32), np.ones(count + 1)
     while True:
         lam, vecs = np.linalg.eigh(np.einsum("k,kij->ij", w, proj))
@@ -381,18 +378,19 @@ def _kelley_dual_bound(proj: np.ndarray, n: int, target: float,
             break
         solution = lp.getSolution()
         x = np.array(solution.col_value)
-        # multipliers are nonnegative and sum to 1 up to the LP's tolerance;
-        # renormalizing keeps rho a density matrix
         mu = np.maximum(-np.array(solution.row_dual)[1:], 0.0)
-        basis = np.stack(kets, axis=1)
-        state = (basis * (mu / mu.sum())) @ basis.conj().T
         # LP round-off may leave the capped simplex; shrinking back into it
         # keeps lambda_min a lower bound on every state's top-n sum
         w = np.clip(x[:count], 0.0, 1.0)
         w *= min(1.0, n / w.sum())
         if float(x[count]) - best <= _LP_TOL:
             break
-    return best, state, lps
+    if mu is None:
+        return best, None, lps
+    # multipliers are nonnegative and sum to 1 up to the LP's tolerance;
+    # renormalizing keeps rho a density matrix
+    basis = np.stack(kets[:len(mu)], axis=1)
+    return best, (basis * (mu / mu.sum())) @ basis.conj().T, lps
 
 
 def _min_level_all_states(proj: np.ndarray, n: int, cfg: SolverConfig):
@@ -412,7 +410,7 @@ def _min_level_all_states(proj: np.ndarray, n: int, cfg: SolverConfig):
         values.append(_top_n_sum(_born(lp_state[None], proj), n)[0])
     i = int(np.argmin(values))
     value = float(values[i])
-    return value, f_lb, states[i], SolverDiagnostics(lps, i, 0.0, float(value - f_lb))
+    return value, f_lb, states[i], SolverDiagnostics(lps, i, float(value - f_lb))
 
 
 def _pure_qubit_levels(proj: np.ndarray, levels, constraint: StateConstraint):
@@ -482,16 +480,15 @@ def _pure_qubit_levels(proj: np.ndarray, levels, constraint: StateConstraint):
                                      + np.sin(mid)[:, None] * e2[circle])
     top = len(base) - 1  # levels 1..L-1
     best, where, kind, count = np.full(top, np.inf), np.zeros((top, 3)), np.zeros(top, int), 0
+    pick = np.zeros(top, int)
 
     def offer(points, k):
         nonlocal count
         for lo in range(0, len(points), _CHUNK):
             chunk = points[lo:lo + _CHUNK]
             prefix = np.cumsum(np.sort(base + chunk @ wvecs.T, axis=1)[:, ::-1], axis=1)[:, :-1]
-            i = prefix.argmin(axis=0)
-            value = prefix[i, np.arange(top)]
-            better = value < best
-            best[better], where[better], kind[better] = value[better], chunk[i[better]], k
+            better = _pool_minima(best, pick, prefix.T, 0)
+            where[better], kind[better] = chunk[pick[better]], k
             count += len(chunk)
 
     def top_sums(points):  # g of each point's top-n set, shape (points, levels, 3)
@@ -524,7 +521,7 @@ def _pure_qubit_levels(proj: np.ndarray, levels, constraint: StateConstraint):
     for n in levels:
         value = float(_at_radius(best[n - 1], mixed[n - 1], constraint))
         state = _at_radius(bloch_to_density(where[n - 1]).matrix, 0.5 * np.eye(2), constraint)
-        yield value, value, state, SolverDiagnostics(count, int(kind[n - 1]), 0.0)
+        yield value, value, state, SolverDiagnostics(count, int(kind[n - 1]))
 
 
 # 50 steps of 0.3 / sqrt(k + 1) explore, 200 shrinking by 0.85 settle each start
@@ -610,7 +607,7 @@ def _pure_ket_levels(proj, levels, cfg: SolverConfig, entropy: tuple):
         settled[better], settled_best[better], starts + settled_row[better] % copies)
     for n in levels:
         value, ket = float(minima[n - 1]), best[n - 1]
-        diag = SolverDiagnostics(evaluations + more, int(row[n - 1]), 0.0)
+        diag = SolverDiagnostics(evaluations + more, int(row[n - 1]))
         yield value, value, np.outer(ket, ket.conj()), diag
 
 
@@ -681,7 +678,7 @@ def _max_certificates(observables, levels, constraint: StateConstraint) -> list[
             value = _at_radius(w[-1], 0.5 * np.real(np.trace(cmat)), constraint)
             state = DensityMatrix(_at_radius(np.outer(v[:, -1], v[:, -1].conj()),
                                              0.5 * np.eye(2), constraint))
-            diag = SolverDiagnostics(iterations=0, multistart_index=0, residual=0.0)
+            diag = SolverDiagnostics(iterations=0, multistart_index=0)
             choice = ChoiceOperator(_index_sets(observables, flat.tolist()), cmat, level)
             certs[level] = BoundCertificate(level, "max", float(value), state, choice, diag)
     return [certs[n] for n in levels]
@@ -705,7 +702,9 @@ def infimum_t(observables,
 
     Entries are differences of consecutive level minima (levels 0 and L
     are pinned to 0 and M); the resulting prefix curve is concave up to
-    solver noise, which a pool-adjacent-violators pass removes.
+    solver noise, which a pool-adjacent-violators pass removes.  A rise
+    over 1e-6, left by levels stopped at ``cfg.max_iter`` LPs, raises
+    ``mj.NotConcave``.
     """
     observables = list(observables)
     _, total_outcomes = _check_observables(observables, constraint)
@@ -716,7 +715,7 @@ def infimum_t(observables,
     certificates = [cert for cert, _ in solved]
     minima = [0.0] + [assembly for _, assembly in solved]
     minima.append(float(n_obs))
-    return _envelope(np.maximum.accumulate(minima), 1e-6, n_obs), certificates
+    return mj.from_prefix_sums(np.maximum.accumulate(minima), n_obs, 1e-6), certificates
 
 
 def supremum_s(observables,
@@ -733,17 +732,8 @@ def supremum_s(observables,
     certificates = _max_certificates(observables, range(1, total_outcomes), constraint)
     maxima = [0.0] + [cert.value for cert in certificates]
     maxima.append(float(n_obs))
-    return _envelope(mj.least_concave_majorant(np.array(maxima)), 1e-9, n_obs), certificates
-
-
-def _envelope(curve: np.ndarray, tol: float, n_obs: int) -> mj.ProbVector:
-    """The envelope of a level curve from 0 to ``n_obs``: its differences
-    made nonincreasing up to ``tol`` by pool-adjacent-violators, clipped at
-    0, with the rounding left over added to the first entry."""
-    entries = mj._isotonic_nonincreasing(np.diff(curve), tol=tol)
-    np.clip(entries, 0.0, None, out=entries)
-    entries[0] += n_obs - entries.sum()
-    return mj.ProbVector(entries, float(n_obs))
+    curve = mj.least_concave_majorant(np.array(maxima))
+    return mj.from_prefix_sums(curve, n_obs, 1e-9), certificates
 
 
 def two_basis_trivial_bound(dim: int) -> mj.ProbVector:

@@ -322,7 +322,8 @@ def _certificate_to_json(cert: bd.BoundCertificate) -> dict:
             "level": cert.achieving_choice.level,
             "index_sets": [list(s) for s in cert.achieving_choice.index_sets],
         },
-        "diagnostics": _fields(cert.diagnostics),
+        # uqcr.bounds/1 keeps two fields no solver fills any more
+        "diagnostics": {**_fields(cert.diagnostics), "residual": 0.0, "oracle_min": None},
     }
 
 
@@ -407,7 +408,10 @@ def cmd_bounds(args) -> int:
         )
     with _naming("--observables"):
         bd.check_choice_budget(observables)
-    t, t_certs = bd.infimum_t(observables, constraint, cfg)
+    try:
+        t, t_certs = bd.infimum_t(observables, constraint, cfg)
+    except mj.NotConcave as exc:
+        raise InputError(f"--max-iter: {exc}; allow more LPs per level") from None
     s, s_certs = bd.supremum_s(observables, constraint)
     doc = {
         "schema": BOUNDS_SCHEMA,
@@ -514,13 +518,9 @@ def cmd_coherence(args) -> int:
         "states": [],
     }
     for path, rho in states:
-        ket = np.linalg.eigh(rho.matrix)[1][:, -1] if rho.is_pure(1e-10) else None
         per_basis = []
         for basis in bases:
-            if ket is not None:
-                mu = coh.coherence_vector_pure(ket, basis)
-            else:
-                mu = coh.coherence_vector_mixed_approx(rho, basis, sampling)
+            mu = coh.coherence_vector_mixed_approx(rho, basis, sampling)
             per_basis.append(
                 {
                     "basis": basis.name,

@@ -46,6 +46,10 @@ class SupportMismatch(UqcrError):
     """Relative-entropy weight sits on a zero-probability entry."""
 
 
+class NotConcave(UqcrError, ValueError):
+    """A prefix-sum curve bends upward by more than its tolerance."""
+
+
 @dataclass(frozen=True)
 class ProbVector:
     """Non-increasing probability vector whose entries sum to ``total``."""
@@ -117,10 +121,6 @@ class LorenzCurve:
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "total", float(self.total))
 
-    @property
-    def points(self) -> list[tuple[int, float]]:
-        return [(k, float(v)) for k, v in enumerate(self.values)]
-
 
 def from_unsorted(raw, total: float = 1.0) -> ProbVector:
     """Sort raw outcome probabilities into a valid ProbVector.
@@ -165,12 +165,8 @@ def meet(a: ProbVector, b: ProbVector) -> ProbVector:
 def meet_all(vectors) -> ProbVector:
     """Infimum of a set, via joint componentwise prefix-sum minima."""
     prefixes, total = _prefix_stack(vectors, "meet")
-    low = prefixes.min(axis=0)
-    entries = np.diff(low, prepend=0.0)
     # The min of concave curves is concave; wash out float dust only.
-    entries = _isotonic_nonincreasing(entries, tol=1e-9)
-    entries[0] += total - entries.sum()
-    return ProbVector(entries, total)
+    return from_prefix_sums(np.concatenate(([0.0], prefixes.min(axis=0))), total, 1e-9)
 
 
 def join(a: ProbVector, b: ProbVector) -> ProbVector:
@@ -196,8 +192,34 @@ def join_prefix_sums(prefixes: np.ndarray, total: float) -> ProbVector:
         raise SumMismatch(f"row sums span {ends.min():.12g}..{ends.max():.12g}, not {total!r}")
     high = np.minimum(prefixes.max(axis=0), total)
     high[-1] = total
-    flat = least_concave_majorant(np.concatenate(([0.0], high)))
-    entries = _isotonic_nonincreasing(np.diff(flat), tol=1e-9)
+    return from_prefix_sums(least_concave_majorant(np.concatenate(([0.0], high))), total, 1e-9)
+
+
+def from_prefix_sums(curve: np.ndarray, total: float, tol: float) -> ProbVector:
+    """The lattice vector of a prefix-sum curve running from 0 to ``total``.
+
+    Its differences are made non-increasing by pool-adjacent-violators: a
+    rise over ``tol`` is a genuine error and raises NotConcave, smaller ones
+    are averaged away, preserving the sum.  The entries are then clamped at
+    0, and the rounding left over is added to the first entry.
+    """
+    entries = np.diff(curve)
+    viol = float(np.max(entries[1:] - entries[:-1], initial=0.0))
+    if viol > tol:
+        raise NotConcave(f"sequence increases by {viol:.3e}, beyond tolerance")
+    if viol > 0.0:
+        vals: list[float] = []
+        wts: list[int] = []
+        for x in entries:
+            vals.append(float(x))
+            wts.append(1)
+            while len(vals) >= 2 and vals[-2] < vals[-1]:
+                v = (vals[-2] * wts[-2] + vals[-1] * wts[-1]) / (wts[-2] + wts[-1])
+                w = wts[-2] + wts[-1]
+                vals = vals[:-2] + [v]
+                wts = wts[:-2] + [w]
+        entries = np.concatenate([np.full(w, v) for v, w in zip(vals, wts)])
+    np.maximum(entries, 0.0, out=entries)
     entries[0] += total - entries.sum()
     return ProbVector(entries, total)
 
@@ -278,27 +300,3 @@ def least_concave_majorant(values: np.ndarray) -> np.ndarray:
                 break
         hull.append(i)
     return np.interp(np.arange(n), hull, y[hull])
-
-
-def _isotonic_nonincreasing(values: np.ndarray, tol: float) -> np.ndarray:
-    """Pool-adjacent-violators repair of a nearly non-increasing sequence.
-
-    Violations larger than ``tol`` are genuine errors and raise; smaller
-    ones are averaged away, preserving the sum.
-    """
-    viol = float(np.max(values[1:] - values[:-1], initial=0.0))
-    if viol > tol:
-        raise ValueError(f"sequence increases by {viol:.3e}, beyond tolerance")
-    if viol <= 0.0:
-        return np.array(values, dtype=float)
-    vals: list[float] = []
-    wts: list[int] = []
-    for x in values:
-        vals.append(float(x))
-        wts.append(1)
-        while len(vals) >= 2 and vals[-2] < vals[-1]:
-            v = (vals[-2] * wts[-2] + vals[-1] * wts[-1]) / (wts[-2] + wts[-1])
-            w = wts[-2] + wts[-1]
-            vals = vals[:-2] + [v]
-            wts = wts[:-2] + [w]
-    return np.concatenate([np.full(w, v) for v, w in zip(vals, wts)])

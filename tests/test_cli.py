@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from uqcr import cli, infimum_t, min_topn_over_states, standard_mub_set
+from uqcr import (
+    CoherenceSampling,
+    cli,
+    coherence_vector_mixed_approx,
+    infimum_t,
+    min_topn_over_states,
+    standard_mub_set,
+)
 from uqcr.bounds import SolverConfig, StateConstraint
 from uqcr.cli import _dump_json, main
 
@@ -32,10 +39,15 @@ def _json_dumps(obj) -> str:
 
 @pytest.fixture(autouse=True, scope="module")
 def documents_match_json():
-    # every document the tests here write, through the direct writer, has json's bytes
+    # every document the tests here write, through the direct writer, has json's bytes;
+    # every certificate of a bounds file keeps the format's residual and oracle_min
     def checked(obj):
         text = _dump_json(obj)
         assert text == _json_dumps(obj)
+        if obj.get("schema") == "uqcr.bounds/1":
+            for cert in obj["certificates"]["min"] + obj["certificates"]["max"]:
+                assert cert["diagnostics"]["residual"] == 0.0
+                assert cert["diagnostics"]["oracle_min"] is None
         return text
 
     with pytest.MonkeyPatch.context() as mp:
@@ -187,6 +199,23 @@ def test_coherence_stdout(capsys):
     assert np.allclose(doc["mu_t"], 0.5, atol=1e-6)
     assert doc["states"][0]["per_basis"][0]["exactness"] == "exact"
     assert doc["states"][1]["per_basis"][0]["exactness"] == "approximate_lower"
+
+
+def test_coherence_exactness_follows_the_library(tmp_path, capsys):
+    # purity 1 - 6e-11 passes is_pure(1e-10), but the state has rank 2: the
+    # library labels its vectors approximate, and so must the CLI
+    state = tmp_path / "near_pure.json"
+    state.write_text(json.dumps({"density": _real_pairs([[1 - 3e-11, 0.0], [0.0, 3e-11]])}))
+    code = run(["coherence", "--bases", config("pauli_xz.json"), "--state", str(state),
+                "--samples", "16", "--seed", "2"])
+    assert code == 0
+    per_basis = json.loads(capsys.readouterr().out)["states"][0]["per_basis"]
+    _, bases = cli.parse_observable_file(cli._load_json(config("pauli_xz.json")))
+    rho = cli.parse_state_file(cli._load_json(str(state)), 2)
+    for entry, basis in zip(per_basis, bases, strict=True):
+        mu = coherence_vector_mixed_approx(rho, basis, CoherenceSampling(samples=16, seed=2))
+        assert entry["exactness"] == mu.exactness == "approximate_lower"
+        assert entry["mu"] == mu.vector.entries.tolist()
 
 
 @pytest.mark.parametrize("flag, value", [("--samples", "-5"), ("--seed", "-1")])
@@ -691,12 +720,32 @@ def test_coarse_levels_are_isolated_and_deterministic(tmp_path):
         assert alone.diagnostics == cert.diagnostics
         assert np.array_equal(alone.achieving_state.matrix, cert.achieving_state.matrix)
         assert alone.achieving_choice.index_sets == cert.achieving_choice.index_sets
-    path = tmp_path / "coarse.json"
+    _assert_same_seed_bytes(tmp_path, _write_projectors(tmp_path / "coarse.json", 4, observables))
+
+
+def _write_projectors(path, dim, observables):
     entries = [{"name": obs.name, "projectors": [[[[z.real, z.imag] for z in row] for row in p]
                                                 for p in obs.projectors]}
                for obs in observables]
-    path.write_text(json.dumps({"dimension": 4, "observables": entries}))
-    _assert_same_seed_bytes(tmp_path, str(path))
+    path.write_text(json.dumps({"dimension": dim, "observables": entries}))
+    return str(path)
+
+
+@pytest.mark.parametrize("seed, max_iter", [(28, 7), (48, 10)])
+def test_too_few_lps_per_level_is_input_error(tmp_path, capsys, seed, max_iter):
+    # levels stopped at --max-iter LPs leave these coarse triples' dual minima
+    # non-concave beyond the tolerance of assembling t (by 2.9e-3 at seed 28)
+    rng = np.random.default_rng(seed)
+    observables = [coarse_grained_basis(4, (2, 1, 1), rng, f"c{i}") for i in range(3)]
+    out = tmp_path / "o.json"
+    code = run(["bounds", "--observables", _write_projectors(tmp_path / "obs.json", 4, observables),
+                "--max-iter", str(max_iter), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: --max-iter: sequence increases by ")
+    assert err.endswith("; allow more LPs per level\n")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_env_seed_default(tmp_path, monkeypatch):

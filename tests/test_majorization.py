@@ -23,12 +23,16 @@ from uqcr import (
 from uqcr.majorization import (
     EmptySet,
     NegativeEntry,
+    NotConcave,
     SumMismatch,
     SupportMismatch,
     TotalMismatch,
+    from_prefix_sums,
     join_prefix_sums,
     least_concave_majorant,
 )
+
+from uqcr.errors import UqcrError
 
 from helpers import brute_least_concave_majorant, prefix_majorized, random_probvector
 
@@ -137,6 +141,20 @@ def test_meet_all_joint_prefix_minima():
 def test_meet_all_empty():
     with pytest.raises(EmptySet):
         meet_all([])
+
+
+def test_from_prefix_sums_pools_dust_and_refuses_a_bend():
+    # differences 0.5, 0.25, 0.25 + 1e-10, -1e-13: the rise is pooled, the
+    # negative entry clamped, and the excess taken off the first entry
+    curve = np.cumsum([0.0, 0.5, 0.25, 0.25 + 1e-10, -1e-13])
+    got = from_prefix_sums(curve, 1.0, 1e-9)
+    assert np.allclose(got.entries, [0.5 - 1e-10, 0.25 + 5e-11, 0.25 + 5e-11, 0.0],
+                       rtol=0.0, atol=1e-15)
+    assert got.entries[-1] == 0.0 and got.entries[1] == got.entries[2]
+    assert abs(got.entries.sum() - 1.0) <= 1e-15
+    with pytest.raises(NotConcave, match="increases by 1.000e-10"):
+        from_prefix_sums(curve, 1.0, 1e-11)
+    assert issubclass(NotConcave, UqcrError) and issubclass(NotConcave, ValueError)
 
 
 def test_join_concave_case():
